@@ -36,9 +36,8 @@ from .quadratic import (
     NlProfile,
     QuadraticForm,
     coset_nonlinearities,
-    enumerate_quadratics,
     fh_set,
-    fh_subset,
+    level_set_outside,
     max_nl_over_quadratics,
     min_coset_nonlinearity,
     nfh_profile,
@@ -87,14 +86,13 @@ __all__ = [
     "coset_nonlinearities",
     "degree",
     "distance",
-    "enumerate_quadratics",
     "equivalence_search",
     "exact_nl2_7",
     "fh_set",
-    "fh_subset",
     "is_invertible",
     "lemma2_conclusion_check",
     "lemma2_hypothesis",
+    "level_set_outside",
     "max_nl_over_quadratics",
     "min_coset_nonlinearity",
     "nfh_profile",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadratic
-from .core import AnfPolynomial, MAX_VARS, TruthTable, anf_from_truth_table, truth_table_from_anf, walsh_spectrum
+from .core import AnfPolynomial, MAX_VARS, TruthTable, _moebius, anf_from_truth_table, truth_table_from_anf, walsh_spectrum
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -183,20 +183,6 @@ def _high_degree_part(f: TruthTable) -> AnfPolynomial:
     return AnfPolynomial(f.n, frozenset(m for m in anf.monomials if len(m) >= 3))
 
 
-_POPCOUNT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _popcounts(size: int) -> np.ndarray:
-    if size not in _POPCOUNT_CACHE:
-        idx = np.arange(size, dtype=np.uint32)
-        counts = np.zeros(size, dtype=np.uint8)
-        while idx.any():
-            counts += (idx & 1).astype(np.uint8)
-            idx >>= 1
-        _POPCOUNT_CACHE[size] = counts
-    return _POPCOUNT_CACHE[size]
-
-
 def equivalence_search(
     f1: TruthTable,
     f2: TruthTable,
@@ -294,7 +280,7 @@ def equivalence_search(
     for v in range(n):
         x[:, v] = (idx >> v) & 1
     weights = (1 << np.arange(n)).astype(np.uint32)
-    deep = _popcounts(size) > 2
+    deep = np.array([a.bit_count() > 2 for a in range(size)])  # monomials of degree >= 3
 
     nodes = 0
     columns: list[int] = []
@@ -305,7 +291,7 @@ def equivalence_search(
         if nodes > budget:
             raise _BudgetExceeded
 
-    def try_translations(img: np.ndarray) -> EquivalenceWitness | None:
+    def try_translations() -> EquivalenceWitness | None:
         a = np.zeros((n, n), dtype=np.uint8)
         for i, c in enumerate(columns):
             for j in range(n):
@@ -314,13 +300,7 @@ def equivalence_search(
         for b_int in range(size):
             bump()
             diff = f1.bits[base ^ np.uint32(b_int)] ^ f2.bits
-            coeffs = diff.copy()
-            h = 1
-            while h < size:
-                view = coeffs.reshape(-1, 2, h)
-                view[:, 1, :] ^= view[:, 0, :]
-                h *= 2
-            if not coeffs[deep].any():
+            if not _moebius(diff)[deep].any():
                 b_vec = np.array([(b_int >> j) & 1 for j in range(n)], dtype=np.uint8)
                 g = anf_from_truth_table(TruthTable(n, diff))
                 witness = EquivalenceWitness(AffineMap(n, a, b_vec), g)
@@ -330,7 +310,7 @@ def equivalence_search(
 
     def extend(depth: int, img: np.ndarray, span: frozenset[int]) -> EquivalenceWitness | None:
         if depth == n:
-            return try_translations(img)
+            return try_translations()
         pair_no, pair_nn, cube_noo, cube_nno, cube_nnn = blocks2[depth]
         for cand in candidates_by_class.get(int(cls2_new[depth][0]), ()):
             if cand in span:

@@ -111,7 +111,6 @@ def build_parser() -> _Parser:
     add_function_arg(p)
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     p.add_argument("--out", default=None, help="write the report to this path (atomic)")
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("fh", help="level set of quadratics at a given nonlinearity")
@@ -164,7 +163,7 @@ def _cmd_nl2(args) -> int:
 
 def _cmd_profile(args) -> int:
     f = resolve_function(args.function, args.n)
-    profile = quadratic.nfh_profile(f, shards=args.shards, workers=args.threads)
+    profile = quadratic.nfh_profile(f, workers=args.threads)
     _write_text(args.out, _profile_text(profile, args.format))
     return 0
 
@@ -197,14 +196,8 @@ def _cmd_equiv(args) -> int:
 def _cmd_concat_check(args) -> int:
     f1 = resolve_function(args.function1, args.n)
     f2 = resolve_function(args.function2, args.n)
-    p1 = quadratic.nfh_profile(f1)
-    p2 = quadratic.nfh_profile(f2)
-    instances = []
-    for n2 in sorted(set(p1.counts) | set(p2.counts)):
-        for n1 in sorted(set(p1.counts) | set(p2.counts)):
-            if claims.lemma2_hypothesis(f1, f2, n1, n2, profiles=(p1, p2)):
-                instances.append({"n1": n1, "n2": n2, "bound": n1 + n2})
-    best = min((inst["bound"] for inst in instances), default=None)
+    instances = claims.lemma2_instances(f1, f2)
+    best = min(map(sum, instances), default=None)
     relations = claims.condition2_relations(f1, f2)
     payload = {
         "n": f1.n,

@@ -13,9 +13,10 @@ concatenation-bound checks.
 
 The scan is vectorised: signs of ``f + q`` for a whole block of indices
 are built from two cached sign tables (low / high index bits), and a
-batched in-place Walsh transform processes the block at once.  Blocks
-merge by addition, so sharded runs give bit-identical results regardless
-of shard count or worker count.
+batched in-place Walsh transform processes the block at once.  One
+block iterator feeds every reduction (values, minimum, maximum,
+histogram); histograms of contiguous ranges merge by addition, so
+multi-threaded profiles are bit-identical to single-threaded ones.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import MAX_VARS, AnfPolynomial, TruthTable, fwht_rows, truth_table_from_anf
+from .core import AnfPolynomial, TruthTable, fwht_rows, truth_table_from_anf
 
 # Block size: 2**LOW_BITS cosets per batched transform.
 _LOW_BITS = 11
@@ -77,17 +78,15 @@ class QuadraticForm:
         return truth_table_from_anf(self.anf())
 
 
-def enumerate_quadratics(n: int, start: int = 0, stop: int | None = None) -> Iterator[QuadraticForm]:
-    """Yield quadratic forms in index order; a sub-range supports sharding."""
-    if not 2 <= n <= MAX_VARS:
-        raise ValueError(f"quadratic enumeration needs 2 <= n <= {MAX_VARS}, got {n}")
-    total = form_count(n)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad index range [{start}, {stop}) for n={n}")
-    for index in range(start, stop):
-        yield QuadraticForm(n, index)
+def degree2_table(n: int, quad_index: int, linear_mask: int, constant: int = 0) -> TruthTable:
+    """Truth table of q_quad_index + sum of x_(v+1) over set bits v of
+    linear_mask + constant."""
+    idx = np.arange(1 << n, dtype=np.uint32)
+    bits = QuadraticForm(n, quad_index).truth_table().bits ^ np.uint8(constant)
+    for v in range(n):
+        if (linear_mask >> v) & 1:
+            bits ^= ((idx >> v) & 1).astype(np.uint8)
+    return TruthTable(n, bits)
 
 
 @dataclass(frozen=True)
@@ -198,26 +197,27 @@ def _block_nl(chi_f: np.ndarray, chi_high_row: np.ndarray, chi_low: np.ndarray, 
     return (half - (w.max(axis=1) >> 1)).astype(np.uint8)
 
 
-def coset_nonlinearities(f: TruthTable, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """nl(f + q) for every quadratic index in [start, stop), as uint8."""
+def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
+    """nl(f + q) for the quadratic indices in [start, stop), one block at a time."""
     _require_table(f)
     total = form_count(f.n)
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError(f"bad index range [{start}, {stop}) for n={f.n}")
+    if start == stop:
+        return
     chi_low, chi_high, low_bits = _sign_tables(f.n)
     chi_f = 1 - 2 * f.bits.astype(np.int8)
     half = 1 << (f.n - 1)
-    block = 1 << low_bits
-    out = np.empty(stop - start, dtype=np.uint8)
-    for hi in range(start >> low_bits, ((stop - 1) >> low_bits) + 1 if stop > start else 0):
-        vals = _block_nl(chi_f, chi_high[hi], chi_low, half)
+    for hi in range(start >> low_bits, ((stop - 1) >> low_bits) + 1):
         lo0 = hi << low_bits
-        a = max(start, lo0)
-        b = min(stop, lo0 + block)
-        out[a - start : b - start] = vals[a - lo0 : b - lo0]
-    return out
+        yield _block_nl(chi_f, chi_high[hi], chi_low, half)[max(start - lo0, 0) : stop - lo0]
+
+
+def coset_nonlinearities(f: TruthTable, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """nl(f + q) for every quadratic index in [start, stop), as uint8."""
+    return np.concatenate([np.empty(0, dtype=np.uint8), *_scan(f, start, stop)])  # an empty range yields no block
 
 
 def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> tuple[int, bool]:
@@ -229,16 +229,9 @@ def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> tuple
     bound proving the minimum is below the threshold (second element
     False).  A returned True always means the exact minimum.
     """
-    _require_table(f)
-    chi_low, chi_high, _ = _sign_tables(f.n)
-    chi_f = 1 - 2 * f.bits.astype(np.int8)
-    half = 1 << (f.n - 1)
     best = 1 << f.n
-    for hi in range(chi_high.shape[0]):
-        vals = _block_nl(chi_f, chi_high[hi], chi_low, half)
-        m = int(vals.min())
-        if m < best:
-            best = m
+    for vals in _scan(f):
+        best = min(best, int(vals.min()))
         if threshold is not None and best < threshold:
             return best, False
     return best, True
@@ -255,38 +248,29 @@ def second_order_nonlinearity(f: TruthTable) -> int:
 
 def max_nl_over_quadratics(f: TruthTable) -> int:
     """Largest r with a nonempty level set (affine parts cannot raise it)."""
-    _require_table(f)
-    chi_low, chi_high, _ = _sign_tables(f.n)
-    chi_f = 1 - 2 * f.bits.astype(np.int8)
-    half = 1 << (f.n - 1)
-    best = 0
-    for hi in range(chi_high.shape[0]):
-        m = int(_block_nl(chi_f, chi_high[hi], chi_low, half).max())
-        if m > best:
-            best = m
-    return best
+    return max(int(vals.max()) for vals in _scan(f))
 
 
-def nfh_profile(f: TruthTable, shards: int = 1, workers: int = 1) -> NlProfile:
+def nfh_profile(f: TruthTable, workers: int = 1) -> NlProfile:
     """Full coset-nonlinearity histogram of f.
 
-    ``shards`` splits the index space into contiguous ranges whose
-    partial histograms merge by addition; ``workers`` threads may
-    process shards concurrently.  Results are identical for any split.
+    ``workers`` threads each scan one contiguous index range; the
+    partial histograms merge by addition, so the result is identical
+    for any worker count.
     """
     _require_table(f)
-    if shards < 1 or workers < 1:
-        raise ValueError("shards and workers must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     total = form_count(f.n)
-    shards = min(shards, total)
-    bounds = [(total * k // shards, total * (k + 1) // shards) for k in range(shards)]
+    workers = min(workers, total)
+    bounds = [(total * k // workers, total * (k + 1) // workers) for k in range(workers)]
     size = (1 << (f.n - 1)) + 1
 
     def partial(rng: tuple[int, int]) -> np.ndarray:
         return np.bincount(coset_nonlinearities(f, rng[0], rng[1]), minlength=size)
 
     if workers == 1:
-        partials = [partial(rng) for rng in bounds]
+        partials = [partial(bounds[0])]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(partial, bounds))
@@ -299,23 +283,16 @@ def fh_set(f: TruthTable, r: int) -> FhSet:
     return FhSet(f.n, r, coset_nonlinearities(f) == r)
 
 
-def fh_sets(f: TruthTable, rs) -> dict[int, FhSet]:
-    """Level sets for several values from a single scan."""
-    vals = coset_nonlinearities(f)
-    return {int(r): FhSet(f.n, int(r), vals == r) for r in rs}
+def level_set_outside(src_vals: np.ndarray, r: int, dst_vals: np.ndarray, rs) -> int | None:
+    """First index q with src_vals[q] == r and dst_vals[q] outside rs.
 
-
-def fh_subset(f_i: TruthTable, r: int, f_j: TruthTable, rs) -> tuple[bool, int | None]:
-    """Is the level set of f_i at r contained in the union of f_j's level
-    sets over rs?  On failure, also return one counterexample index."""
-    if f_i.n != f_j.n:
-        raise ValueError(f"variable count mismatch: {f_i.n} vs {f_j.n}")
-    vals_i = coset_nonlinearities(f_i)
-    vals_j = coset_nonlinearities(f_j)
-    union = np.zeros(vals_j.shape, dtype=bool)
+    The arguments are coset-nonlinearity arrays of two functions, so
+    None means the level set of the first at r lies within the union of
+    the second's level sets over rs; otherwise the index is a
+    counterexample to that inclusion.
+    """
+    bad = src_vals == r
     for s in rs:
-        union |= vals_j == s
-    bad = (vals_i == r) & ~union
-    if not bad.any():
-        return True, None
-    return False, int(np.flatnonzero(bad)[0])
+        bad &= dst_vals != s
+    first = int(bad.argmax())
+    return first if bad[first] else None

@@ -123,12 +123,7 @@ class FilterContradiction(RuntimeError):
 
 
 def _candidate_half(i2: int, m: AffineMap, quad_index: int, linear_mask: int) -> TruthTable:
-    g = quadratic.QuadraticForm(6, quad_index).truth_table().bits.copy()
-    idx = np.arange(64, dtype=np.uint32)
-    for v in range(6):
-        if (linear_mask >> v) & 1:
-            g ^= ((idx >> v) & 1).astype(np.uint8)
-    return apply_affine(catalog_function(f"fun_{i2}"), m) ^ TruthTable(6, g)
+    return apply_affine(catalog_function(f"fun_{i2}"), m) ^ quadratic.degree2_table(6, quad_index, linear_mask)
 
 
 def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] | None = None) -> SearchSummary:

@@ -188,6 +188,21 @@ class TestSpotChecksAndFullRun:
         assert worst_exit_code([ClaimResult("x", DISCREPANCY)]) == 3
         assert worst_exit_code([ClaimResult("x", DISCREPANCY), ClaimResult("y", REFUTED)]) == 2
 
+    def test_filter_contradiction_is_a_refuted_claim(self, monkeypatch):
+        from rm2cover import search
+
+        monkeypatch.setattr(search, "exact_nl2_7", lambda f, threshold=None: search.Nl2Result(43, True))
+        by_id = {r.claim_id: r for r in verify_all(seed=11, trials=1, thm1_samples=4)}
+        bicond = by_id["thm1.cond2-biconditional"]
+        assert bicond.status == REFUTED
+        assert "exact nl2 above the stated global bound 42" in bicond.details["error"]
+        dump = bicond.details["candidate"]
+        assert dump["candidate"] == 0 and dump["nl2_value"] == 43 and dump["nl2_exact"] is True
+        assert {"A", "b", "g_quad_index", "g_linear_mask", "cond2_pass"} <= set(dump)
+        assert str(dump) in bicond.details["error"]
+        assert by_id["thm1.global-bound"].details["violations"] == [43]
+        assert json.dumps(bicond.as_json_dict())
+
     def test_verify_all_rerun_determinism(self):
         first = [r.as_json_dict() for r in verify_all(seed=5, trials=1, thm1_samples=4)]
         second = [r.as_json_dict() for r in verify_all(seed=5, trials=1, thm1_samples=4)]

@@ -42,6 +42,11 @@ class TestBasicCommands:
         assert payload["n"] == 6 and payload["sum"] == 32768
         assert payload["counts"]["16"] == 224
 
+    def test_profile_threads_match_single_thread(self, capsys):
+        _, single, _ = invoke(capsys, "profile", "fun_5", "--threads", "1")
+        code, threaded, _ = invoke(capsys, "profile", "fun_5", "--threads", "2")
+        assert code == 0 and threaded == single
+
     def test_profile_out_file_atomic(self, capsys, tmp_path):
         target = tmp_path / "profile.csv"
         code, out, _ = invoke(capsys, "profile", "fun_3", "--format", "csv", "--out", str(target))
@@ -107,6 +112,15 @@ class TestVerifyAll:
             "confirmed": 50, "refuted": 4, "discrepancy": 1, "skipped-out-of-scope": 5,
         }
         assert len(report["claims"]) == 60
+
+    def test_filter_contradiction_exits_2_without_traceback(self, capsys, monkeypatch):
+        from rm2cover import search
+
+        monkeypatch.setattr(search, "exact_nl2_7", lambda f, threshold=None: search.Nl2Result(43, True))
+        code, out, err = invoke(capsys, "verify-all", "--trials", "1", "--samples", "4")
+        assert code == 2 and "Traceback" not in err
+        claim = next(c for c in json.loads(out)["claims"] if c["claim_id"] == "thm1.cond2-biconditional")
+        assert claim["status"] == "refuted" and claim["details"]["candidate"]["nl2_value"] == 43
 
     def test_csv_report_carries_stated_and_computed(self, capsys):
         code, out, _ = invoke(capsys, "verify-all", "--trials", "1", "--samples", "4", "--format", "csv")

@@ -6,10 +6,10 @@ from rm2cover import (
     QuadraticForm,
     TruthTable,
     catalog_function,
+    concatenate,
     coset_nonlinearities,
-    enumerate_quadratics,
     fh_set,
-    fh_subset,
+    level_set_outside,
     max_nl_over_quadratics,
     min_coset_nonlinearity,
     nfh_profile,
@@ -18,40 +18,46 @@ from rm2cover import (
     truth_table_from_anf,
 )
 from rm2cover.affine import apply_affine, random_affine_map
+from rm2cover.cli import resolve_function
 from rm2cover.quadratic import NlProfile, form_count, pair_count, variable_pairs
 from oracles import brute_second_order_nl, brute_second_order_nl_batch, random_tables
 
 
 class TestEnumeration:
     def test_counts_small(self):
-        assert [q.index for q in enumerate_quadratics(2)] == [0, 1]
-        forms = list(enumerate_quadratics(3))
-        assert len(forms) == 8
-        assert [q.index for q in forms] == list(range(8))
+        assert [QuadraticForm(2, i).coefficient_pairs() for i in range(form_count(2))] == [(), ((1, 2),)]
+        tables = {QuadraticForm(3, i).truth_table().bits.tobytes() for i in range(form_count(3))}
+        assert form_count(3) == 8 and len(tables) == 8
 
     def test_count_n6(self):
-        assert form_count(6) == 32768
-        assert sum(1 for _ in enumerate_quadratics(6)) == 32768
+        assert pair_count(6) == 15 and form_count(6) == 32768
+        assert coset_nonlinearities(TruthTable.zeros(6)).size == 32768
 
     def test_count_n7_and_range_iteration(self):
         assert form_count(7) == 2097152
-        head = [q.index for q in enumerate_quadratics(7, 0, 5)]
-        tail = [q.index for q in enumerate_quadratics(7, form_count(7) - 3)]
-        assert head == [0, 1, 2, 3, 4]
-        assert tail == [form_count(7) - 3, form_count(7) - 2, form_count(7) - 1]
+        assert QuadraticForm(7, form_count(7) - 1).coefficient_pairs() == variable_pairs(7)
+        f = truth_table_from_anf(AnfPolynomial.from_string("x1x2x3x4+x5x6x7+x1", n=7))
+        total = form_count(7)
+        for start, stop in ((0, 5), (total - 3, total)):
+            direct = [nonlinearity(f ^ QuadraticForm(7, i).truth_table()) for i in range(start, stop)]
+            assert coset_nonlinearities(f, start, stop).tolist() == direct
 
     def test_range_errors(self):
+        for index in (-1, form_count(3)):
+            with pytest.raises(ValueError):
+                QuadraticForm(3, index)
         with pytest.raises(ValueError):
-            list(enumerate_quadratics(1))
+            coset_nonlinearities(TruthTable.zeros(1))
         with pytest.raises(ValueError):
-            list(enumerate_quadratics(8))
+            coset_nonlinearities(TruthTable.zeros(3), 5, 2)
         with pytest.raises(ValueError):
-            list(enumerate_quadratics(3, 5, 2))
+            coset_nonlinearities(TruthTable.zeros(3), 0, form_count(3) + 1)
 
     def test_index_pair_bijection(self, rng):
         for n in (3, 4):
             seen = set()
-            for q in enumerate_quadratics(n):
+            for index in range(form_count(n)):
+                q = QuadraticForm(n, index)
                 pairs = q.coefficient_pairs()
                 assert QuadraticForm.from_pairs(n, pairs).index == q.index
                 seen.add(pairs)
@@ -96,7 +102,7 @@ class TestSecondOrderNonlinearity:
         tables = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
         expected = brute_second_order_nl_batch(tables, 4)
         sign = 1 - 2 * tables.astype(np.int16)
-        chi = {q.index: 1 - 2 * q.truth_table().bits.astype(np.int16) for q in enumerate_quadratics(4)}
+        chi = {i: 1 - 2 * QuadraticForm(4, i).truth_table().bits.astype(np.int16) for i in range(form_count(4))}
         from rm2cover.core import fwht_rows
 
         best = np.full(1 << 16, 16, dtype=np.int64)
@@ -124,6 +130,27 @@ class TestSecondOrderNonlinearity:
             assert not bounded_exact and exact <= bounded < exact + 1
             same, same_exact = min_coset_nonlinearity(t, threshold=exact)
             assert same_exact and same == exact
+
+    @pytest.mark.parametrize(
+        "spec, threshold, exit_block",
+        [
+            ("fun_4||fun_6", 41, 0),  # n=7 at the search threshold
+            ("fun_5", 17, 9),  # nl2 + 1: the first 16 lies in block 9
+            ("fun_10", 17, 0),  # block 0 holds a 16 before its minimum 12
+            ("24bc4fd3167e58de", 15, 3),  # block 4 holds an 11, below the exit value 13
+        ],
+    )
+    def test_early_exit_stops_after_first_block_below_threshold(self, spec, threshold, exit_block):
+        halves = [resolve_function(s) for s in spec.split("||")]
+        f = concatenate(*halves) if len(halves) == 2 else halves[0]
+        block = 2048
+        k, running = 0, threshold
+        while running >= threshold:
+            running = min(running, int(coset_nonlinearities(f, k * block, (k + 1) * block).min()))
+            k += 1
+        assert k - 1 == exit_block
+        expected = int(coset_nonlinearities(f, 0, k * block).min())
+        assert min_coset_nonlinearity(f, threshold) == (expected, False)
 
 
 class TestProfiles:
@@ -165,8 +192,8 @@ class TestProfiles:
     def test_shard_and_worker_determinism(self):
         f = catalog_function("fun_5")
         reference = nfh_profile(f)
-        assert nfh_profile(f, shards=7) == reference
-        assert nfh_profile(f, shards=4, workers=2) == reference
+        assert nfh_profile(f, workers=2) == reference
+        assert nfh_profile(f, workers=3) == reference  # ranges not aligned to scan blocks
 
     def test_affine_invariance(self, rng):
         from rm2cover.claims import _random_degree2
@@ -217,14 +244,14 @@ class TestLevelSets:
         assert np.array_equal(mask, level.mask)
 
     def test_subset_reflexive(self):
-        f = catalog_function("fun_4")
-        holds, witness = fh_subset(f, 16, f, {16})
-        assert holds and witness is None
+        vals = coset_nonlinearities(catalog_function("fun_4"))
+        assert level_set_outside(vals, 16, vals, {16}) is None
 
     def test_subset_failure_with_witness(self):
         f = catalog_function("fun_3")
-        holds, witness = fh_subset(f, 16, f, {26})
-        assert not holds
+        vals = coset_nonlinearities(f)
+        witness = level_set_outside(vals, 16, vals, {26})
+        assert witness == int(np.flatnonzero(vals == 16)[0])  # the first member, as fun_3 has no 26
         q = QuadraticForm(6, witness).truth_table()
         assert nonlinearity(f ^ q) == 16  # witness really is in the r=16 set
 
@@ -232,10 +259,10 @@ class TestLevelSets:
         f_i = catalog_function("fun_4")
         f_j = catalog_function("fun_6")
         rs = {20, 22, 24, 26}
-        holds, witness = fh_subset(f_i, 18, f_j, rs)
+        witness = level_set_outside(coset_nonlinearities(f_i), 18, coset_nonlinearities(f_j), rs)
         members = fh_set(f_i, 18).members()
         sample = rng.choice(members, size=100, replace=True)
-        if holds:
+        if witness is None:
             for index in sample:
                 q = QuadraticForm(6, int(index)).truth_table()
                 assert nonlinearity(f_j ^ q) in rs
