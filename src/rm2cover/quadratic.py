@@ -11,12 +11,15 @@ the minimum, the per-value histogram is the coset-nonlinearity profile,
 and the index sets at a fixed value are the level sets used in the
 concatenation-bound checks.
 
-The scan is vectorised: signs of ``f + q`` for a whole block of indices
-are built from two cached sign tables (low / high index bits), and a
-batched in-place Walsh transform processes the block at once.  One
-block iterator feeds every reduction (values, minimum, maximum,
-histogram); histograms of contiguous ranges merge by addition, so
-multi-threaded profiles are bit-identical to single-threaded ones.
+The scan is vectorised: signs of ``f + q`` for a block of 2048
+consecutive indices are built from two cached sign tables (low / high
+index bits) as a ``(2**n, 2048)`` array, one column per coset.  The
+coset axis is innermost, so every stage of the in-place Walsh transform
+along axis 0 is one contiguous operation over whole rows of 2048
+cosets, and the spectrum maximum is a reduction over rows.  One block
+iterator feeds every reduction (values, minimum, maximum, histogram);
+histograms of ranges merge by addition, so multi-threaded profiles are
+bit-identical to single-threaded ones.
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ import numpy as np
 
 from .core import AnfPolynomial, TruthTable, fwht_rows, truth_table_from_anf
 
-# Block size: 2**LOW_BITS cosets per batched transform.
+# Block size: 2**LOW_BITS cosets per batched transform.  It is part of
+# the results, not only of the speed: threshold mode returns the running
+# minimum at the end of the first block below the threshold, so its upper
+# bound (``SearchRecord.nl2_value``, ``rm2cover nl2 --threshold``) depends
+# on where blocks end.  Changing it changes those outputs.
 _LOW_BITS = 11
 
 
@@ -163,8 +170,11 @@ class FhSet:
 def _sign_tables(n: int):
     """Cached (chi_low, chi_high, low_bits) sign tables for n.
 
-    chi_low[k] is the +-1 table of the quadratic whose index is k over the
-    low index bits; chi_high likewise for the remaining bits.
+    chi_low[:, k] (a column) is the +-1 table of the quadratic whose index
+    is k over the low index bits, so chi_low has shape
+    ``(2**n, 2**low_bits)`` with the coset axis innermost.  chi_high[k]
+    (a row) is the table of the quadratic whose index is k over the
+    remaining bits.
     """
     m = pair_count(n)
     idx = np.arange(1 << n, dtype=np.uint32)
@@ -182,7 +192,7 @@ def _sign_tables(n: int):
             out[half : 2 * half] = out[:half] * rows[p]
         return out
 
-    return span(mono_chi[:low_bits]), span(mono_chi[low_bits:]), low_bits
+    return np.ascontiguousarray(span(mono_chi[:low_bits]).T), span(mono_chi[low_bits:]), low_bits
 
 
 def _require_table(f: TruthTable) -> None:
@@ -191,10 +201,11 @@ def _require_table(f: TruthTable) -> None:
 
 
 def _block_nl(chi_f: np.ndarray, chi_high_row: np.ndarray, chi_low: np.ndarray, half: int) -> np.ndarray:
-    w = ((chi_f * chi_high_row)[None, :] * chi_low).astype(np.int16)
-    fwht_rows(w)
+    """nl(f + q) for one block: column k of the spectrum block is coset k."""
+    w = ((chi_f * chi_high_row)[:, None] * chi_low).astype(np.int16)
+    fwht_rows(w, axis=0)
     np.abs(w, out=w)
-    return (half - (w.max(axis=1) >> 1)).astype(np.uint8)
+    return (half - (w.max(axis=0) >> 1)).astype(np.uint8)
 
 
 def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
@@ -254,16 +265,19 @@ def max_nl_over_quadratics(f: TruthTable) -> int:
 def nfh_profile(f: TruthTable, workers: int = 1) -> NlProfile:
     """Full coset-nonlinearity histogram of f.
 
-    ``workers`` threads each scan one contiguous index range; the
-    partial histograms merge by addition, so the result is identical
-    for any worker count.
+    ``workers`` threads each scan one contiguous run of whole blocks, so
+    no block is transformed twice; there are never more threads than
+    blocks, and a single range is scanned inline.  The partial
+    histograms merge by addition, so the result is identical for any
+    worker count.
     """
     _require_table(f)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    total = form_count(f.n)
-    workers = min(workers, total)
-    bounds = [(total * k // workers, total * (k + 1) // workers) for k in range(workers)]
+    block = 1 << _sign_tables(f.n)[2]
+    blocks = form_count(f.n) // block
+    workers = min(workers, blocks)
+    bounds = [(block * (blocks * k // workers), block * (blocks * (k + 1) // workers)) for k in range(workers)]
     size = (1 << (f.n - 1)) + 1
 
     def partial(rng: tuple[int, int]) -> np.ndarray:

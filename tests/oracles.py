@@ -1,9 +1,11 @@
-"""Independent brute-force references used as test oracles.
+"""Independent references used as test oracles.
 
-Nothing here goes through the library's transform-based code paths:
-functions are evaluated monomial by monomial at explicit points, and
-distances come from XOR + popcount against explicitly enumerated
-codeword tables.
+Nothing here goes through the library's code paths.  The brute-force
+oracles evaluate functions monomial by monomial at explicit points and
+take distances by XOR + popcount against explicitly enumerated codeword
+tables.  ``row_layout_coset_nl`` is the coset scan in its earlier
+layout, one row per coset, with its own sign tables and its own Walsh
+butterflies.
 """
 
 from __future__ import annotations
@@ -104,6 +106,36 @@ def brute_nfh_profile(bits: np.ndarray, n: int) -> dict[int, int]:
         dist = (cosets[:, None, :] ^ affine[None, :, :]).sum(axis=2, dtype=np.int64).min(axis=1)
         counts.update(dist.tolist())
     return dict(counts)
+
+
+def row_layout_coset_nl(bits: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """nl(f + q) for the quadratic indices in [start, stop), as uint8.
+
+    Blocks of 2048 consecutive indices (fewer for n <= 5) are built as
+    ``(cosets, 2**n)`` sign arrays, one row per coset, and transformed
+    along the rows.  Bit p of an index selects the p-th variable pair in
+    lexicographic order, as in the library.
+    """
+    pairs = rm2_basis(n)[n + 1 :]
+    low_bits = min(len(pairs), 11)
+    chi_low = 1 - 2 * span_tables(pairs[:low_bits]).astype(np.int16)
+    chi_high = 1 - 2 * span_tables(pairs[low_bits:]).astype(np.int16)
+    chi_f = 1 - 2 * np.asarray(bits, dtype=np.int16)
+    width, block = 1 << n, 1 << low_bits
+    out = []
+    for lo0 in range(start - start % block, stop, block):
+        w = (chi_f * chi_high[lo0 >> low_bits])[None, :] * chi_low
+        h = 1
+        while h < width:
+            b = w.reshape(w.shape[0], -1, 2, h)
+            x = b[:, :, 0, :].copy()
+            y = b[:, :, 1, :].copy()
+            b[:, :, 0, :] = x + y
+            b[:, :, 1, :] = x - y
+            h *= 2
+        vals = (width >> 1) - np.abs(w).max(axis=1) // 2
+        out.append(vals[max(start - lo0, 0) : stop - lo0])
+    return np.concatenate([np.empty(0, dtype=np.int64), *out]).astype(np.uint8)
 
 
 def brute_second_order_nl_batch(tables: np.ndarray, n: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from rm2cover import (
     walsh_spectrum,
     weight,
 )
+from rm2cover.core import fwht_rows
 from oracles import brute_nonlinearity, eval_anf_pointwise, random_tables
 
 
@@ -171,8 +172,6 @@ class TestMetrics:
         for a in aff:
             np.minimum(best, (tables ^ a[None, :]).sum(axis=1, dtype=np.int64), out=best)
         w = (1 - 2 * tables.astype(np.int16))
-        from rm2cover.core import fwht_rows
-
         fwht_rows(w)
         via_spectrum = 8 - np.abs(w).max(axis=1) // 2
         assert np.array_equal(via_spectrum, best)
@@ -197,6 +196,61 @@ class TestMetrics:
             assert weight(q) % 2 == 0
             f = TruthTable(6, rng.integers(0, 2, 64, dtype=np.uint8))
             assert distance(f, q) % 2 == weight(f) % 2
+
+
+class TestFwhtAxis:
+    """fwht_rows along axis 0 (the coset-innermost scan layout)."""
+
+    SHAPES = [(64, 5), (128, 12), (8, 3, 4), (32, 2, 6)]
+
+    @staticmethod
+    def _random(rng, shape, dtype):
+        bound = 3 if dtype == np.int16 else 1000
+        return rng.integers(-bound, bound + 1, size=shape).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_axis0_equals_rows_of_transpose(self, rng, shape, dtype):
+        a = self._random(rng, shape, dtype)
+        expected = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+        fwht_rows(expected)
+        fwht_rows(a, axis=0)
+        assert a.dtype == dtype
+        assert np.array_equal(a, np.moveaxis(expected, -1, 0))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_axis0_twice_scales_by_length(self, rng, shape, dtype):
+        a = self._random(rng, shape, dtype)
+        b = a.copy()
+        fwht_rows(b, axis=0)
+        fwht_rows(b, axis=0)
+        assert np.array_equal(b, shape[0] * a)
+
+    def test_middle_axis_and_default(self, rng):
+        a = self._random(rng, (3, 16, 5), np.int32)
+        expected = np.ascontiguousarray(np.moveaxis(a, 1, -1))
+        fwht_rows(expected)
+        fwht_rows(a, axis=1)
+        assert np.array_equal(a, np.moveaxis(expected, -1, 1))
+        rows = self._random(rng, (4, 32), np.int32)
+        by_default = rows.copy()
+        fwht_rows(by_default)
+        fwht_rows(rows, axis=1)
+        assert np.array_equal(rows, by_default)
+
+    def test_rejects_non_contiguous(self):
+        a = np.ones((8, 8), dtype=np.int16).T[:, :4]
+        with pytest.raises(ValueError):
+            fwht_rows(a, axis=0)
+
+    def test_walsh_spectrum_matches_pointwise_sum(self, rng):
+        for n in range(1, 8):
+            bits = random_tables(rng, 1, n)[0].tolist()
+            expected = [
+                sum(1 - 2 * ((bits[x] + bin(u & x).count("1")) & 1) for x in range(1 << n)) for u in range(1 << n)
+            ]
+            assert walsh_spectrum(TruthTable(n, bits)).values.tolist() == expected
 
 
 class TestConcatenation:

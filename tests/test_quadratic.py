@@ -19,8 +19,10 @@ from rm2cover import (
 )
 from rm2cover.affine import apply_affine, random_affine_map
 from rm2cover.cli import resolve_function
+from rm2cover import quadratic
+from rm2cover.catalog import catalog_names
 from rm2cover.quadratic import NlProfile, form_count, pair_count, variable_pairs
-from oracles import brute_second_order_nl, brute_second_order_nl_batch, random_tables
+from oracles import brute_second_order_nl, brute_second_order_nl_batch, random_tables, row_layout_coset_nl
 
 
 class TestEnumeration:
@@ -153,6 +155,58 @@ class TestSecondOrderNonlinearity:
         assert min_coset_nonlinearity(f, threshold) == (expected, False)
 
 
+class TestRowLayoutOracle:
+    """The coset-innermost scan against the earlier row-per-coset kernel."""
+
+    @staticmethod
+    def _oracle_threshold_min(f: TruthTable, threshold: int) -> tuple[int, bool]:
+        # the documented rule: stop after the first block whose running minimum is below the threshold
+        total, block = form_count(f.n), 2048
+        best = 1 << f.n
+        for lo in range(0, total, block):
+            best = min(best, int(row_layout_coset_nl(f.bits, f.n, lo, min(lo + block, total)).min()))
+            if best < threshold:
+                return best, False
+        return best, True
+
+    def test_every_coset_n6(self, rng):
+        functions = [catalog_function(name) for name in catalog_names()]
+        functions += [TruthTable(6, bits) for bits in random_tables(rng, 5, 6)]
+        for f in functions:
+            assert f.n == 6
+            assert np.array_equal(coset_nonlinearities(f), row_layout_coset_nl(f.bits, 6, 0, form_count(6)))
+
+    def test_every_coset_small_n(self, rng):
+        tables = {3: [TruthTable.from_int(3, packed).bits for packed in range(256)]}
+        tables[4] = list(random_tables(rng, 512, 4))
+        tables[5] = list(random_tables(rng, 64, 5))
+        for n, rows in tables.items():
+            for bits in rows:
+                got = coset_nonlinearities(TruthTable(n, bits))
+                assert np.array_equal(got, row_layout_coset_nl(bits, n, 0, form_count(n)))
+
+    def test_n7_head_tail_and_middle_blocks(self, rng):
+        total, block = form_count(7), 2048
+        middle = rng.choice(np.arange(1, total // block - 1), size=3, replace=False)
+        starts = [0, total - block, *(int(k) * block for k in middle)]
+        functions = [
+            concatenate(catalog_function("fun_4"), catalog_function("fun_6")),
+            TruthTable(7, random_tables(rng, 1, 7)[0]),
+        ]
+        for f in functions:
+            for lo in starts:
+                expected = row_layout_coset_nl(f.bits, 7, lo, lo + block)
+                assert np.array_equal(coset_nonlinearities(f, lo, lo + block), expected)
+
+    def test_threshold_mode_matches_oracle_running_minimum(self):
+        f7 = concatenate(catalog_function("fun_4"), catalog_function("fun_6"))
+        f5 = catalog_function("fun_5")
+        nl2_f5 = int(row_layout_coset_nl(f5.bits, 6, 0, form_count(6)).min())
+        late_low = TruthTable.from_hex("24bc4fd3167e58de")  # exits in block 3; block 4 holds an 11
+        for f, threshold in ((f7, 41), (f5, nl2_f5 + 1), (late_low, 15)):
+            assert min_coset_nonlinearity(f, threshold) == self._oracle_threshold_min(f, threshold)
+
+
 class TestProfiles:
     def test_zero_function(self):
         profile = nfh_profile(TruthTable.zeros(6))
@@ -189,11 +243,42 @@ class TestProfiles:
             parities = {r & 1 for r in nfh_profile(t).counts}
             assert parities == {weight(t) & 1}
 
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        """Records one entry per block transform the scan makes."""
+        calls = []
+        block_nl = quadratic._block_nl
+
+        def counting(*args):
+            calls.append(None)
+            return block_nl(*args)
+
+        monkeypatch.setattr(quadratic, "_block_nl", counting)
+        return calls
+
+    def test_workers_split_on_block_boundaries(self, block_calls):
+        f = catalog_function("fun_6")
+        reference = nfh_profile(f)
+        for workers in range(1, 6):
+            block_calls.clear()
+            assert nfh_profile(f, workers=workers) == reference
+            assert len(block_calls) == 16  # 2^15 cosets in blocks of 2048, each transformed once
+
+    def test_single_block_profile_runs_inline(self, block_calls, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started for a single block")
+
+        monkeypatch.setattr(quadratic, "ThreadPoolExecutor", no_pool)
+        f = TruthTable.from_int(4, 0x6A3C)
+        profile = nfh_profile(f, workers=8)
+        assert len(block_calls) == 1
+        assert profile.counts == dict(zip(*np.unique(row_layout_coset_nl(f.bits, 4, 0, 64), return_counts=True)))
+
     def test_shard_and_worker_determinism(self):
         f = catalog_function("fun_5")
         reference = nfh_profile(f)
         assert nfh_profile(f, workers=2) == reference
-        assert nfh_profile(f, workers=3) == reference  # ranges not aligned to scan blocks
+        assert nfh_profile(f, workers=3) == reference  # 16 blocks do not split evenly into 3 ranges
 
     def test_affine_invariance(self, rng):
         from rm2cover.claims import _random_degree2
