@@ -194,29 +194,26 @@ class WalshSpectrum:
         return int(np.abs(self.values).max())
 
 
-def fwht_rows(a: np.ndarray, axis: int = -1) -> None:
-    """In-place Walsh-Hadamard transform along one axis (default: rows).
+def fwht_rows(a: np.ndarray) -> None:
+    """In-place Walsh-Hadamard transform along the leading axis.
 
-    Integer arithmetic only; that axis length must be a power of two and
-    ``a`` must be C-contiguous, so every reshape below is a view.  Each
-    butterfly pairs slabs ``h * inner`` elements long, where ``inner`` is
-    the size of the axes after ``axis``: along axis 0 of a 2-D array a
-    stage is one contiguous operation over whole rows.  One scratch
-    buffer serves every stage: a fresh temporary per stage doubled the
-    time of an n=7 scan block.
+    Integer arithmetic only; the leading axis length must be a power of
+    two and ``a`` must be C-contiguous, so every reshape below is a view.
+    Each butterfly pairs slabs of ``h`` whole rows, so for a 2-D array a
+    stage is one contiguous operation over every column at once.  One
+    scratch buffer serves every stage: a fresh temporary per stage
+    doubled the time of an n=7 scan block.
     """
     if not a.flags.c_contiguous:
         raise ValueError("fwht_rows transforms in place and needs a C-contiguous array")
-    axis = axis % a.ndim
-    width = a.shape[axis]
-    outer = int(np.prod(a.shape[:axis]))
-    inner = int(np.prod(a.shape[axis + 1 :]))
+    width = a.shape[0]
+    inner = a.size // width
     scratch = np.empty(a.size // 2, dtype=a.dtype)
     h = 1
     while h < width:
-        b = a.reshape(outer, -1, 2, h * inner)
-        x = b[:, :, 0]
-        y = b[:, :, 1]
+        b = a.reshape(-1, 2, h * inner)
+        x = b[:, 0]
+        y = b[:, 1]
         t = scratch.reshape(x.shape)
         np.subtract(x, y, out=t)
         x += y
@@ -268,9 +265,9 @@ def distance(f: TruthTable, g: TruthTable) -> int:
 
 
 def walsh_spectrum(t: TruthTable) -> WalshSpectrum:
-    w = (1 - 2 * t.bits.astype(np.int32)).reshape(1, -1)
+    w = 1 - 2 * t.bits.astype(np.int32)
     fwht_rows(w)
-    return WalshSpectrum(t.n, w[0])
+    return WalshSpectrum(t.n, w)
 
 
 def nonlinearity(t: TruthTable) -> int:

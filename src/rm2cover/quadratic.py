@@ -203,7 +203,7 @@ def _require_table(f: TruthTable) -> None:
 def _block_nl(chi_f: np.ndarray, chi_high_row: np.ndarray, chi_low: np.ndarray, half: int) -> np.ndarray:
     """nl(f + q) for one block: column k of the spectrum block is coset k."""
     w = ((chi_f * chi_high_row)[:, None] * chi_low).astype(np.int16)
-    fwht_rows(w, axis=0)
+    fwht_rows(w)
     np.abs(w, out=w)
     return (half - (w.max(axis=0) >> 1)).astype(np.uint8)
 

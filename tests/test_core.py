@@ -171,9 +171,9 @@ class TestMetrics:
         best = np.full(1 << 16, 16, dtype=np.int64)
         for a in aff:
             np.minimum(best, (tables ^ a[None, :]).sum(axis=1, dtype=np.int64), out=best)
-        w = (1 - 2 * tables.astype(np.int16))
+        w = np.ascontiguousarray((1 - 2 * tables.astype(np.int16)).T)  # one column per table
         fwht_rows(w)
-        via_spectrum = 8 - np.abs(w).max(axis=1) // 2
+        via_spectrum = 8 - np.abs(w).max(axis=0) // 2
         assert np.array_equal(via_spectrum, best)
 
     def test_nonlinearity_matches_bruteforce_random_n6(self, rng):
@@ -198,8 +198,8 @@ class TestMetrics:
             assert distance(f, q) % 2 == weight(f) % 2
 
 
-class TestFwhtAxis:
-    """fwht_rows along axis 0 (the coset-innermost scan layout)."""
+class TestFwht:
+    """fwht_rows along the leading axis (the coset-innermost scan layout)."""
 
     SHAPES = [(64, 5), (128, 12), (8, 3, 4), (32, 2, 6)]
 
@@ -210,39 +210,29 @@ class TestFwhtAxis:
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_axis0_equals_rows_of_transpose(self, rng, shape, dtype):
+    def test_axis0_equals_hadamard_product(self, rng, shape, dtype):
         a = self._random(rng, shape, dtype)
-        expected = np.ascontiguousarray(np.moveaxis(a, 0, -1))
-        fwht_rows(expected)
-        fwht_rows(a, axis=0)
+        width = shape[0]
+        u = np.arange(width)
+        hadamard = 1 - 2 * (np.bitwise_count(u[:, None] & u[None, :]) & 1).astype(np.int64)
+        expected = (hadamard @ a.reshape(width, -1).astype(np.int64)).reshape(shape)
+        fwht_rows(a)
         assert a.dtype == dtype
-        assert np.array_equal(a, np.moveaxis(expected, -1, 0))
+        assert np.array_equal(a, expected)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_axis0_twice_scales_by_length(self, rng, shape, dtype):
         a = self._random(rng, shape, dtype)
         b = a.copy()
-        fwht_rows(b, axis=0)
-        fwht_rows(b, axis=0)
+        fwht_rows(b)
+        fwht_rows(b)
         assert np.array_equal(b, shape[0] * a)
-
-    def test_middle_axis_and_default(self, rng):
-        a = self._random(rng, (3, 16, 5), np.int32)
-        expected = np.ascontiguousarray(np.moveaxis(a, 1, -1))
-        fwht_rows(expected)
-        fwht_rows(a, axis=1)
-        assert np.array_equal(a, np.moveaxis(expected, -1, 1))
-        rows = self._random(rng, (4, 32), np.int32)
-        by_default = rows.copy()
-        fwht_rows(by_default)
-        fwht_rows(rows, axis=1)
-        assert np.array_equal(rows, by_default)
 
     def test_rejects_non_contiguous(self):
         a = np.ones((8, 8), dtype=np.int16).T[:, :4]
         with pytest.raises(ValueError):
-            fwht_rows(a, axis=0)
+            fwht_rows(a)
 
     def test_walsh_spectrum_matches_pointwise_sum(self, rng):
         for n in range(1, 8):

@@ -25,6 +25,18 @@ from rm2cover.quadratic import NlProfile, form_count, pair_count, variable_pairs
 from oracles import brute_second_order_nl, brute_second_order_nl_batch, random_tables, row_layout_coset_nl
 
 
+def _oracle_threshold_min(f: TruthTable, threshold: int) -> tuple[int, bool]:
+    """Threshold mode on the row-layout oracle kernel: stop after the first
+    block whose running minimum is below the threshold."""
+    total, block = form_count(f.n), 2048
+    best = 1 << f.n
+    for lo in range(0, total, block):
+        best = min(best, int(row_layout_coset_nl(f.bits, f.n, lo, min(lo + block, total)).min()))
+        if best < threshold:
+            return best, False
+    return best, True
+
+
 class TestEnumeration:
     def test_counts_small(self):
         assert [QuadraticForm(2, i).coefficient_pairs() for i in range(form_count(2))] == [(), ((1, 2),)]
@@ -103,15 +115,15 @@ class TestSecondOrderNonlinearity:
         shifts = np.arange(16, dtype=np.uint32)
         tables = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
         expected = brute_second_order_nl_batch(tables, 4)
-        sign = 1 - 2 * tables.astype(np.int16)
+        sign = np.ascontiguousarray((1 - 2 * tables.astype(np.int16)).T)  # one column per table
         chi = {i: 1 - 2 * QuadraticForm(4, i).truth_table().bits.astype(np.int16) for i in range(form_count(4))}
         from rm2cover.core import fwht_rows
 
         best = np.full(1 << 16, 16, dtype=np.int64)
         for q_chi in chi.values():
-            w = sign * q_chi[None, :]
+            w = sign * q_chi[:, None]
             fwht_rows(w)
-            np.minimum(best, 8 - np.abs(w).max(axis=1) // 2, out=best)
+            np.minimum(best, 8 - np.abs(w).max(axis=0) // 2, out=best)
         assert np.array_equal(best, expected)
         # spot check the library entry point agrees with the batch route
         for packed in (0, 1, 0x8001, 0x6996, 0xFFFF):
@@ -153,21 +165,11 @@ class TestSecondOrderNonlinearity:
         assert k - 1 == exit_block
         expected = int(coset_nonlinearities(f, 0, k * block).min())
         assert min_coset_nonlinearity(f, threshold) == (expected, False)
+        assert _oracle_threshold_min(f, threshold) == (expected, False)
 
 
 class TestRowLayoutOracle:
     """The coset-innermost scan against the earlier row-per-coset kernel."""
-
-    @staticmethod
-    def _oracle_threshold_min(f: TruthTable, threshold: int) -> tuple[int, bool]:
-        # the documented rule: stop after the first block whose running minimum is below the threshold
-        total, block = form_count(f.n), 2048
-        best = 1 << f.n
-        for lo in range(0, total, block):
-            best = min(best, int(row_layout_coset_nl(f.bits, f.n, lo, min(lo + block, total)).min()))
-            if best < threshold:
-                return best, False
-        return best, True
 
     def test_every_coset_n6(self, rng):
         functions = [catalog_function(name) for name in catalog_names()]
@@ -197,14 +199,6 @@ class TestRowLayoutOracle:
             for lo in starts:
                 expected = row_layout_coset_nl(f.bits, 7, lo, lo + block)
                 assert np.array_equal(coset_nonlinearities(f, lo, lo + block), expected)
-
-    def test_threshold_mode_matches_oracle_running_minimum(self):
-        f7 = concatenate(catalog_function("fun_4"), catalog_function("fun_6"))
-        f5 = catalog_function("fun_5")
-        nl2_f5 = int(row_layout_coset_nl(f5.bits, 6, 0, form_count(6)).min())
-        late_low = TruthTable.from_hex("24bc4fd3167e58de")  # exits in block 3; block 4 holds an 11
-        for f, threshold in ((f7, 41), (f5, nl2_f5 + 1), (late_low, 15)):
-            assert min_coset_nonlinearity(f, threshold) == self._oracle_threshold_min(f, threshold)
 
 
 class TestProfiles:
