@@ -101,16 +101,18 @@ def apply_affine(f: TruthTable, m: AffineMap) -> TruthTable:
     """Pointwise composition g(x) = f(Ax + b)."""
     if m.n != f.n:
         raise ValueError(f"variable count mismatch: map n={m.n}, table n={f.n}")
-    return TruthTable(f.n, f.bits[_target_indices(m)])
+    return TruthTable(f.n, f.bits[_target_indices(m.matrix, m.offset)])
 
 
-def _target_indices(m: AffineMap) -> np.ndarray:
-    idx = np.arange(1 << m.n, dtype=np.uint32)
-    x = np.empty((1 << m.n, m.n), dtype=np.uint8)
-    for v in range(m.n):
+def _target_indices(matrix: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Table index of Ax + b for every table index x, as uint32."""
+    n = len(offset)
+    idx = np.arange(1 << n, dtype=np.uint32)
+    x = np.empty((1 << n, n), dtype=np.uint8)
+    for v in range(n):
         x[:, v] = (idx >> v) & 1
-    y = (x @ m.matrix.T + m.offset) & 1
-    weights = (1 << np.arange(m.n)).astype(np.uint32)
+    y = (x @ matrix.T + offset) & 1
+    weights = (1 << np.arange(n)).astype(np.uint32)
     return (y.astype(np.uint32) @ weights).astype(np.uint32)
 
 
@@ -275,11 +277,7 @@ def equivalence_search(
     for a in range(1, size):
         candidates_by_class.setdefault(int(cls1[a]), []).append(a)
 
-    x = np.empty((size, n), dtype=np.uint8)
-    idx = np.arange(size, dtype=np.uint32)
-    for v in range(n):
-        x[:, v] = (idx >> v) & 1
-    weights = (1 << np.arange(n)).astype(np.uint32)
+    zeros = np.zeros(n, dtype=np.uint8)
     deep = np.array([a.bit_count() > 2 for a in range(size)])  # monomials of degree >= 3
 
     nodes = 0
@@ -296,7 +294,7 @@ def equivalence_search(
         for i, c in enumerate(columns):
             for j in range(n):
                 a[j, i] = (c >> j) & 1
-        base = ((x @ a.T) & 1).astype(np.uint32) @ weights
+        base = _target_indices(a, zeros)
         for b_int in range(size):
             bump()
             diff = f1.bits[base ^ np.uint32(b_int)] ^ f2.bits

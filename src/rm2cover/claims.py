@@ -24,6 +24,7 @@ values so a report is auditable without rerunning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,6 +142,14 @@ def worst_exit_code(results: list[ClaimResult]) -> int:
     return 0
 
 
+@lru_cache(maxsize=64)
+def _profile(f: TruthTable) -> quadratic.NlProfile:
+    """The one coset profile (nl2, max nl, NFh entries) every claim reads,
+    scanned once per table and process; 64 holds all 24 catalog tables.
+    Callers share it, so it is read-only."""
+    return quadratic.nfh_profile(f)
+
+
 # ---------------------------------------------------------------------------
 # observation / remark claims
 
@@ -151,7 +160,7 @@ def verify_observation_1() -> ClaimResult:
     Affine parts cannot raise nl, so homogeneous forms cover the whole
     degree-2 coset family.
     """
-    computed = quadratic.max_nl_over_quadratics(catalog_function("fun_1"))
+    computed = _profile(catalog_function("fun_1")).max_r
     status = CONFIRMED if computed <= OBS1_BOUND else REFUTED
     return ClaimResult(
         "obs1.fun_1.max-nl",
@@ -164,7 +173,7 @@ def verify_nl2_values() -> list[ClaimResult]:
     """Representative direction of the nl2 classification statements."""
     results = []
     for claim_id, name, stated in STATED_NL2:
-        computed = quadratic.second_order_nonlinearity(catalog_function(name))
+        computed = _profile(catalog_function(name)).min_r
         status = CONFIRMED if computed == stated else REFUTED
         results.append(ClaimResult(claim_id, status, {"function": name, "stated": stated, "computed": computed}))
     for claim_id, text in ONLY_IF_CLAIMS:
@@ -177,7 +186,7 @@ def verify_profile_claims() -> list[ClaimResult]:
     results = []
     for claim_id in STATED_PROFILES:
         name, stated, tail = STATED_PROFILES[claim_id]
-        profile = quadratic.nfh_profile(catalog_function(name))
+        profile = _profile(catalog_function(name))
         entries = {}
         mismatches = []
         special = SELF_INCONSISTENT_ENTRIES.get(claim_id)
@@ -229,7 +238,7 @@ def verify_remark_1() -> list[ClaimResult]:
     spectrum = walsh_spectrum(f)
     flat = bool((np.abs(spectrum.values) == 8).all())
     nl = nonlinearity(f)
-    nl2 = quadratic.second_order_nonlinearity(f)
+    nl2 = _profile(f).min_r
     results = [
         ClaimResult(
             "remark1.bent-example.nl",
@@ -244,7 +253,7 @@ def verify_remark_1() -> list[ClaimResult]:
     ]
     # representative-level: no bent function in the nl2=14 coset families
     # (a bent member would force a nonzero profile entry at 28)
-    counts28 = {f"fun_{i}": quadratic.nfh_profile(catalog_function(f"fun_{i}")).count(28) for i in range(9, 19)}
+    counts28 = {f"fun_{i}": _profile(catalog_function(f"fun_{i}")).count(28) for i in range(9, 19)}
     results.append(
         ClaimResult(
             "remark1.no-bent-at-14",
@@ -254,9 +263,9 @@ def verify_remark_1() -> list[ClaimResult]:
     )
     # representative-level: bent functions reach nl2 = 16 (fun_3 family has
     # profile entries at 28) and none exist in the 17/18 families
-    e18 = quadratic.nfh_profile(catalog_function("fun_1")).count(28)
-    e17 = quadratic.nfh_profile(catalog_function("fun_2")).count(28)
-    e16 = quadratic.nfh_profile(catalog_function("fun_3")).count(28)
+    e18 = _profile(catalog_function("fun_1")).count(28)
+    e17 = _profile(catalog_function("fun_2")).count(28)
+    e16 = _profile(catalog_function("fun_3")).count(28)
     ok = e18 == 0 and e17 == 0 and e16 > 0
     results.append(
         ClaimResult(
@@ -272,17 +281,11 @@ def verify_remark_1() -> list[ClaimResult]:
 # concatenation bound (lemma2) and the condition-2 subset relations
 
 
-def lemma2_hypothesis(
-    f1: TruthTable,
-    f2: TruthTable,
-    n1: int,
-    n2: int,
-    profiles: tuple[quadratic.NlProfile, quadratic.NlProfile] | None = None,
-) -> bool:
+def lemma2_hypothesis(f1: TruthTable, f2: TruthTable, n1: int, n2: int) -> bool:
     """NFh_{f_i}(n2) > sum_{k >= n1} NFh_{f_j}(k) for (i,j) = (1,2) or (2,1)."""
     if f1.n != f2.n:
         raise ValueError(f"variable count mismatch: {f1.n} vs {f2.n}")
-    p1, p2 = profiles if profiles is not None else (quadratic.nfh_profile(f1), quadratic.nfh_profile(f2))
+    p1, p2 = _profile(f1), _profile(f2)
     tail1 = sum(c for r, c in p1.counts.items() if r >= n1)
     tail2 = sum(c for r, c in p2.counts.items() if r >= n1)
     return p1.count(n2) > tail2 or p2.count(n2) > tail1
@@ -291,9 +294,8 @@ def lemma2_hypothesis(
 def lemma2_instances(f1: TruthTable, f2: TruthTable) -> list[tuple[int, int]]:
     """Every (n1, n2) over the observed profile values with the lemma2
     hypothesis true, n2 outer and n1 inner, both ascending."""
-    profiles = (quadratic.nfh_profile(f1), quadratic.nfh_profile(f2))
-    values = sorted(profiles[0].counts | profiles[1].counts)
-    return [(n1, n2) for n2 in values for n1 in values if lemma2_hypothesis(f1, f2, n1, n2, profiles=profiles)]
+    values = sorted(_profile(f1).counts | _profile(f2).counts)
+    return [(n1, n2) for n2 in values for n1 in values if lemma2_hypothesis(f1, f2, n1, n2)]
 
 
 def lemma2_conclusion_check(f1: TruthTable, f2: TruthTable, n1: int, n2: int, label: str | None = None) -> ClaimResult:
@@ -316,24 +318,17 @@ def lemma2_conclusion_check(f1: TruthTable, f2: TruthTable, n1: int, n2: int, la
     )
 
 
-def condition2_relations(
-    f1: TruthTable,
-    f2: TruthTable,
-    vals1: np.ndarray | None = None,
-    vals2: np.ndarray | None = None,
-) -> list[dict]:
+def condition2_relations(vals1: np.ndarray, vals2: np.ndarray) -> list[dict]:
     """The six level-set inclusions behind the nl2 = 42 characterisation.
 
-    For both orderings: level(16) within level(26); level(18) within
-    level(24) u level(26); level(20) within level(22) u level(24) u
-    level(26).  Each verdict carries a counterexample index on failure.
+    The arguments are the coset-nonlinearity arrays of the two halves
+    (:func:`quadratic.coset_nonlinearities`).  For both orderings:
+    level(16) within level(26); level(18) within level(24) u level(26);
+    level(20) within level(22) u level(24) u level(26).  Each verdict
+    carries a counterexample index on failure.
     """
-    if f1.n != f2.n:
-        raise ValueError(f"variable count mismatch: {f1.n} vs {f2.n}")
-    if vals1 is None:
-        vals1 = quadratic.coset_nonlinearities(f1)
-    if vals2 is None:
-        vals2 = quadratic.coset_nonlinearities(f2)
+    if vals1.shape != vals2.shape:
+        raise ValueError(f"coset-value arrays differ in shape: {vals1.shape} vs {vals2.shape}")
     relations = []
     for direction, src, dst in (("1->2", vals1, vals2), ("2->1", vals2, vals1)):
         for r, targets in ((16, (26,)), (18, (24, 26)), (20, (22, 24, 26))):
@@ -358,7 +353,7 @@ def theorem1_condition2(f1: TruthTable, f2: TruthTable, label: str | None = None
     index in the details); this is an instance verdict, not a statement
     about the theorem itself.
     """
-    relations = condition2_relations(f1, f2)
+    relations = condition2_relations(quadratic.coset_nonlinearities(f1), quadratic.coset_nonlinearities(f2))
     holds = all(rel["holds"] for rel in relations)
     return ClaimResult(
         f"thm1.cond2.{label or 'pair'}",

@@ -198,7 +198,7 @@ def _cmd_concat_check(args) -> int:
     f2 = resolve_function(args.function2, args.n)
     instances = claims.lemma2_instances(f1, f2)
     best = min(map(sum, instances), default=None)
-    relations = claims.condition2_relations(f1, f2)
+    relations = claims.condition2_relations(quadratic.coset_nonlinearities(f1), quadratic.coset_nonlinearities(f2))
     payload = {
         "n": f1.n,
         "f1": f1.to_hex(),
@@ -233,6 +233,8 @@ def _cmd_search(args) -> int:
         summary = search.witness_search(cfg, on_record=on_record)
     except search.FilterContradiction as exc:
         print(f"FILTER CONTRADICTION: {exc}", file=sys.stderr)
+        if args.out:  # the records so far, then the contradicting candidate
+            _write_text(args.out, "\n".join([*lines, json.dumps(exc.record.as_json_dict())]) + "\n")
         return 2
     if args.out:
         _write_text(args.out, "\n".join(lines) + "\n")

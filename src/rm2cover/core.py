@@ -223,14 +223,10 @@ def fwht_rows(a: np.ndarray) -> None:
 
 def truth_table_from_anf(p: AnfPolynomial) -> TruthTable:
     """Evaluate an ANF at every point (binary Moebius transform)."""
-    idx = np.arange(1 << p.n, dtype=np.uint32)
-    bits = np.zeros(1 << p.n, dtype=np.uint8)
+    coeffs = np.zeros(1 << p.n, dtype=np.uint8)
     for mono in p.monomials:
-        mask = np.uint32(0)
-        for v in mono:
-            mask |= np.uint32(1 << (v - 1))
-        bits ^= ((idx & mask) == mask).astype(np.uint8)
-    return TruthTable(p.n, bits)
+        coeffs[sum(1 << (v - 1) for v in mono)] = 1
+    return TruthTable(p.n, _moebius(coeffs))
 
 
 def anf_from_truth_table(t: TruthTable) -> AnfPolynomial:

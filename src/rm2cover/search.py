@@ -39,9 +39,10 @@ class Nl2Result(NamedTuple):
 def exact_nl2_7(f: TruthTable, threshold: int | None = None) -> Nl2Result:
     """Exact second-order nonlinearity of a 7-variable function.
 
-    Scans all 2**21 homogeneous quadratics; with ``threshold`` the scan
-    stops early once any coset value below it is seen (the result then
-    proves nl2 < threshold without being exact).
+    Scans all 2**21 homogeneous quadratics in blocks of 2048.  With
+    ``threshold`` the scan stops at the end of the first block whose
+    running minimum is below it and returns that running minimum, an
+    upper bound proving nl2 < threshold without being exact.
     """
     if f.n != 7:
         raise ValueError(f"the exact kernel is for n=7, got n={f.n}")
@@ -147,7 +148,7 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
     def evaluate(param) -> SearchRecord:
         k, m, quad_index, linear_mask = param
         half = _candidate_half(cfg.i2, m, quad_index, linear_mask)
-        relations = condition2_relations(f1, half, vals1=vals1)
+        relations = condition2_relations(vals1, quadratic.coset_nonlinearities(half))
         failed = [r for r in relations if not r["holds"]]
         return SearchRecord(k, m, quad_index, linear_mask, cond2_pass=not failed, failed_relations=failed)
 

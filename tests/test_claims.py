@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
 from rm2cover import (
     ClaimResult,
+    TruthTable,
     catalog_function,
     lemma2_conclusion_check,
     lemma2_hypothesis,
@@ -151,6 +153,8 @@ class TestTheorem1Condition2:
         result = theorem1_condition2(catalog_function("fun_4"), catalog_function("fun_4"), label="fun_4.fun_4")
         assert len(result.details["relations"]) == 6
         assert {rel["direction"] for rel in result.details["relations"]} == {"1->2", "2->1"}
+        with pytest.raises(ValueError, match="differ in shape"):
+            theorem1_condition2(TruthTable.zeros(5), catalog_function("fun_4"))
 
     def test_empty_target_forces_failure(self):
         # fun_3 has 448 forms at 16 but none at 26, so the inclusion fails
@@ -202,6 +206,35 @@ class TestSpotChecksAndFullRun:
         assert str(dump) in bicond.details["error"]
         assert by_id["thm1.global-bound"].details["violations"] == [43]
         assert json.dumps(bicond.as_json_dict())
+
+    def test_verify_all_scans_each_table_once(self, monkeypatch):
+        # a cold run scans the 23 catalog tables its claims read once each,
+        # plus the witness search's 4 fun_i1 value scans and 4 candidate
+        # halves; a repeat run finds the 23 profiles cached
+        from rm2cover import claims, quadratic
+
+        scans: Counter[int] = Counter()
+        profiled: Counter[TruthTable] = Counter()
+        scan, nfh_profile = quadratic._scan, quadratic.nfh_profile
+
+        def counting_scan(f, *args):
+            scans[f.n] += 1
+            return scan(f, *args)
+
+        def counting_profile(f, *args, **kwargs):
+            profiled[f] += 1
+            return nfh_profile(f, *args, **kwargs)
+
+        monkeypatch.setattr(quadratic, "_scan", counting_scan)
+        monkeypatch.setattr(quadratic, "nfh_profile", counting_profile)
+        claims._profile.cache_clear()
+        per_call = []
+        for _ in range(2):
+            verify_all(seed=11, trials=1, thm1_samples=4)
+            per_call.append(dict(scans))
+            scans.clear()
+        assert per_call == [{6: 31, 7: 10}, {6: 8, 7: 10}]
+        assert len(profiled) == 23 and set(profiled.values()) == {1}
 
     def test_verify_all_rerun_determinism(self):
         first = [r.as_json_dict() for r in verify_all(seed=5, trials=1, thm1_samples=4)]

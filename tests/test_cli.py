@@ -92,6 +92,18 @@ class TestSearchCommand:
         summary = json.loads(out)["summary"]
         assert summary["candidates"] == 3 and summary["seed"] == 5
 
+    def test_filter_contradiction_keeps_records_in_out_file(self, capsys, monkeypatch, tmp_path):
+        from rm2cover import search
+
+        monkeypatch.setattr(search, "exact_nl2_7", lambda f, threshold=None: search.Nl2Result(43, True))
+        target = tmp_path / "records.jsonl"
+        code, out, err = invoke(
+            capsys, "search", "--i1", "4", "--i2", "6", "--seed", "5", "--budget", "3", "--out", str(target)
+        )
+        assert code == 2 and "Traceback" not in err
+        dump = json.loads(target.read_text().splitlines()[-1])
+        assert dump["nl2_value"] == 43 and dump["nl2_exact"] is True
+
     def test_search_deterministic_output(self, capsys, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"

@@ -5,7 +5,9 @@ from rm2cover import (
     AnfPolynomial,
     TruthTable,
     anf_from_truth_table,
+    catalog_anf,
     catalog_function,
+    catalog_names,
     concatenate,
     degree,
     distance,
@@ -95,12 +97,23 @@ class TestAnf:
         assert t.bits.tolist() == [0, 0, 0, 1]
         assert anf_from_truth_table(t).monomials == frozenset({frozenset({1, 2})})
 
-    def test_fun_1_against_pointwise_oracle(self):
+    def test_fun_1_against_pointwise_oracle(self, rng):
         monos = [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
         expected = eval_anf_pointwise(monos, 6)
         assert catalog_function("fun_1").bits.tolist() == expected
         # frozen from the pointwise oracle
         assert weight(catalog_function("fun_1")) == 18
+        # the same for every catalog ANF and seeded random ANFs at n=1..7:
+        # the involution tests below share the transform with the code they
+        # test, this oracle does not
+        anfs = [catalog_anf(name) for name in catalog_names()]
+        for n in range(1, 8):
+            for _ in range(20):
+                masks = np.flatnonzero(rng.integers(0, 2, size=1 << n))
+                anfs.append(AnfPolynomial(n, frozenset(frozenset(v + 1 for v in range(n) if m >> v & 1) for m in masks)))
+        for p in anfs:
+            expected = eval_anf_pointwise([tuple(m) for m in p.monomials], p.n)
+            assert truth_table_from_anf(p).bits.tolist() == expected, p
 
     def test_all_zero_table(self):
         assert anf_from_truth_table(TruthTable.zeros(4)).monomials == frozenset()
