@@ -2,8 +2,8 @@
 
 One call scans all 2^21 homogeneous quadratics with a batched Walsh
 transform (0.5 s on a 2-core Xeon host with numpy 2.4).  An early-exit threshold turns the kernel
-into a fast upper-bound prover: the scan stops as soon as any coset
-drops below the threshold.
+into a fast upper-bound prover: the scan stops at the end of the first
+2048-coset block whose running minimum is below the threshold.
 """
 
 import time

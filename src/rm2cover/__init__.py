@@ -36,6 +36,7 @@ from .quadratic import (
     NlProfile,
     QuadraticForm,
     coset_nonlinearities,
+    coset_values,
     fh_set,
     level_set_outside,
     max_nl_over_quadratics,
@@ -50,7 +51,6 @@ from .claims import (
     lemma2_hypothesis,
     proposition_spot_checks,
     summarize,
-    theorem1_condition2,
     verify_all,
     verify_nl2_values,
     verify_observation_1,
@@ -84,6 +84,7 @@ __all__ = [
     "catalog_names",
     "concatenate",
     "coset_nonlinearities",
+    "coset_values",
     "degree",
     "distance",
     "equivalence_search",
@@ -102,7 +103,6 @@ __all__ = [
     "second_order_nonlinearity",
     "split",
     "summarize",
-    "theorem1_condition2",
     "truth_table_from_anf",
     "verify_all",
     "verify_nl2_values",

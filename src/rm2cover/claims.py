@@ -24,7 +24,6 @@ values so a report is auditable without rerunning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -142,14 +141,6 @@ def worst_exit_code(results: list[ClaimResult]) -> int:
     return 0
 
 
-@lru_cache(maxsize=64)
-def _profile(f: TruthTable) -> quadratic.NlProfile:
-    """The one coset profile (nl2, max nl, NFh entries) every claim reads,
-    scanned once per table and process; 64 holds all 24 catalog tables.
-    Callers share it, so it is read-only."""
-    return quadratic.nfh_profile(f)
-
-
 # ---------------------------------------------------------------------------
 # observation / remark claims
 
@@ -160,7 +151,7 @@ def verify_observation_1() -> ClaimResult:
     Affine parts cannot raise nl, so homogeneous forms cover the whole
     degree-2 coset family.
     """
-    computed = _profile(catalog_function("fun_1")).max_r
+    computed = quadratic.nfh_profile(catalog_function("fun_1")).max_r
     status = CONFIRMED if computed <= OBS1_BOUND else REFUTED
     return ClaimResult(
         "obs1.fun_1.max-nl",
@@ -173,7 +164,7 @@ def verify_nl2_values() -> list[ClaimResult]:
     """Representative direction of the nl2 classification statements."""
     results = []
     for claim_id, name, stated in STATED_NL2:
-        computed = _profile(catalog_function(name)).min_r
+        computed = quadratic.nfh_profile(catalog_function(name)).min_r
         status = CONFIRMED if computed == stated else REFUTED
         results.append(ClaimResult(claim_id, status, {"function": name, "stated": stated, "computed": computed}))
     for claim_id, text in ONLY_IF_CLAIMS:
@@ -186,7 +177,7 @@ def verify_profile_claims() -> list[ClaimResult]:
     results = []
     for claim_id in STATED_PROFILES:
         name, stated, tail = STATED_PROFILES[claim_id]
-        profile = _profile(catalog_function(name))
+        profile = quadratic.nfh_profile(catalog_function(name))
         entries = {}
         mismatches = []
         special = SELF_INCONSISTENT_ENTRIES.get(claim_id)
@@ -238,7 +229,7 @@ def verify_remark_1() -> list[ClaimResult]:
     spectrum = walsh_spectrum(f)
     flat = bool((np.abs(spectrum.values) == 8).all())
     nl = nonlinearity(f)
-    nl2 = _profile(f).min_r
+    nl2 = quadratic.nfh_profile(f).min_r
     results = [
         ClaimResult(
             "remark1.bent-example.nl",
@@ -253,7 +244,7 @@ def verify_remark_1() -> list[ClaimResult]:
     ]
     # representative-level: no bent function in the nl2=14 coset families
     # (a bent member would force a nonzero profile entry at 28)
-    counts28 = {f"fun_{i}": _profile(catalog_function(f"fun_{i}")).count(28) for i in range(9, 19)}
+    counts28 = {f"fun_{i}": quadratic.nfh_profile(catalog_function(f"fun_{i}")).count(28) for i in range(9, 19)}
     results.append(
         ClaimResult(
             "remark1.no-bent-at-14",
@@ -263,9 +254,9 @@ def verify_remark_1() -> list[ClaimResult]:
     )
     # representative-level: bent functions reach nl2 = 16 (fun_3 family has
     # profile entries at 28) and none exist in the 17/18 families
-    e18 = _profile(catalog_function("fun_1")).count(28)
-    e17 = _profile(catalog_function("fun_2")).count(28)
-    e16 = _profile(catalog_function("fun_3")).count(28)
+    e18 = quadratic.nfh_profile(catalog_function("fun_1")).count(28)
+    e17 = quadratic.nfh_profile(catalog_function("fun_2")).count(28)
+    e16 = quadratic.nfh_profile(catalog_function("fun_3")).count(28)
     ok = e18 == 0 and e17 == 0 and e16 > 0
     results.append(
         ClaimResult(
@@ -281,11 +272,11 @@ def verify_remark_1() -> list[ClaimResult]:
 # concatenation bound (lemma2) and the condition-2 subset relations
 
 
-def lemma2_hypothesis(f1: TruthTable, f2: TruthTable, n1: int, n2: int) -> bool:
-    """NFh_{f_i}(n2) > sum_{k >= n1} NFh_{f_j}(k) for (i,j) = (1,2) or (2,1)."""
-    if f1.n != f2.n:
-        raise ValueError(f"variable count mismatch: {f1.n} vs {f2.n}")
-    p1, p2 = _profile(f1), _profile(f2)
+def lemma2_hypothesis(p1: quadratic.NlProfile, p2: quadratic.NlProfile, n1: int, n2: int) -> bool:
+    """NFh_{f_i}(n2) > sum_{k >= n1} NFh_{f_j}(k) for (i,j) = (1,2) or (2,1),
+    on the coset profiles of the two halves."""
+    if p1.n != p2.n:
+        raise ValueError(f"variable count mismatch: {p1.n} vs {p2.n}")
     tail1 = sum(c for r, c in p1.counts.items() if r >= n1)
     tail2 = sum(c for r, c in p2.counts.items() if r >= n1)
     return p1.count(n2) > tail2 or p2.count(n2) > tail1
@@ -294,8 +285,9 @@ def lemma2_hypothesis(f1: TruthTable, f2: TruthTable, n1: int, n2: int) -> bool:
 def lemma2_instances(f1: TruthTable, f2: TruthTable) -> list[tuple[int, int]]:
     """Every (n1, n2) over the observed profile values with the lemma2
     hypothesis true, n2 outer and n1 inner, both ascending."""
-    values = sorted(_profile(f1).counts | _profile(f2).counts)
-    return [(n1, n2) for n2 in values for n1 in values if lemma2_hypothesis(f1, f2, n1, n2)]
+    p1, p2 = quadratic.nfh_profile(f1), quadratic.nfh_profile(f2)
+    values = sorted(p1.counts | p2.counts)
+    return [(n1, n2) for n2 in values for n1 in values if lemma2_hypothesis(p1, p2, n1, n2)]
 
 
 def lemma2_conclusion_check(f1: TruthTable, f2: TruthTable, n1: int, n2: int, label: str | None = None) -> ClaimResult:
@@ -306,7 +298,7 @@ def lemma2_conclusion_check(f1: TruthTable, f2: TruthTable, n1: int, n2: int, la
     the strict inequality.
     """
     claim_id = f"lemma2.{label or 'instance'}.n1={n1}.n2={n2}"
-    if not lemma2_hypothesis(f1, f2, n1, n2):
+    if not lemma2_hypothesis(quadratic.nfh_profile(f1), quadratic.nfh_profile(f2), n1, n2):
         return ClaimResult(claim_id, SKIPPED, {"reason": "hypothesis false for this instance"})
     bound = n1 + n2
     value, exact = quadratic.min_coset_nonlinearity(concatenate(f1, f2), threshold=bound)
@@ -322,7 +314,7 @@ def condition2_relations(vals1: np.ndarray, vals2: np.ndarray) -> list[dict]:
     """The six level-set inclusions behind the nl2 = 42 characterisation.
 
     The arguments are the coset-nonlinearity arrays of the two halves
-    (:func:`quadratic.coset_nonlinearities`).  For both orderings:
+    (:func:`quadratic.coset_values`).  For both orderings:
     level(16) within level(26); level(18) within level(24) u level(26);
     level(20) within level(22) u level(24) u level(26).  Each verdict
     carries a counterexample index on failure.
@@ -343,23 +335,6 @@ def condition2_relations(vals1: np.ndarray, vals2: np.ndarray) -> list[dict]:
                 }
             )
     return relations
-
-
-def theorem1_condition2(f1: TruthTable, f2: TruthTable, label: str | None = None) -> ClaimResult:
-    """Evaluate condition (2) for one pair of 6-variable halves.
-
-    Status ``confirmed`` means the six inclusions all hold for this
-    pair, ``refuted`` means at least one fails (with a counterexample
-    index in the details); this is an instance verdict, not a statement
-    about the theorem itself.
-    """
-    relations = condition2_relations(quadratic.coset_nonlinearities(f1), quadratic.coset_nonlinearities(f2))
-    holds = all(rel["holds"] for rel in relations)
-    return ClaimResult(
-        f"thm1.cond2.{label or 'pair'}",
-        CONFIRMED if holds else REFUTED,
-        {"holds": holds, "relations": relations},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +374,8 @@ def proposition_spot_checks(seed: int = DEFAULT_SEED, trials: int = 100) -> list
     Every instance is decided by the exact 7-variable scan with an
     early-exit threshold just above the bound being proved.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     specs = (
         ("prop1.spot", 41, "<= 40"),
@@ -454,9 +431,15 @@ def verify_all(seed: int = DEFAULT_SEED, trials: int = 3, thm1_samples: int = 4)
 
     ``trials`` scales the randomized proposition checks and
     ``thm1_samples`` the sampled biconditional check; both default to
-    small values suitable for an interactive run.
+    small values suitable for an interactive run.  Both must be at least
+    1: a check over no instances would confirm nothing.
     """
     from . import search  # deferred: search builds on the checks above
+
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if thm1_samples < 1:
+        raise ValueError(f"thm1_samples must be >= 1, got {thm1_samples}")
 
     results: list[ClaimResult] = []
     results.extend(verify_nl2_values())

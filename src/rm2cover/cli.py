@@ -198,7 +198,7 @@ def _cmd_concat_check(args) -> int:
     f2 = resolve_function(args.function2, args.n)
     instances = claims.lemma2_instances(f1, f2)
     best = min(map(sum, instances), default=None)
-    relations = claims.condition2_relations(quadratic.coset_nonlinearities(f1), quadratic.coset_nonlinearities(f2))
+    relations = claims.condition2_relations(quadratic.coset_values(f1), quadratic.coset_values(f2))
     payload = {
         "n": f1.n,
         "f1": f1.to_hex(),

@@ -9,7 +9,10 @@ of the p-th variable pair in lexicographic order
 From one scan everything else follows: the second-order nonlinearity is
 the minimum, the per-value histogram is the coset-nonlinearity profile,
 and the index sets at a fixed value are the level sets used in the
-concatenation-bound checks.
+concatenation-bound checks.  :func:`coset_values` is that one full scan
+per table: it caches the read-only array, and profiles, level sets, the
+maximum and the condition-2 inclusions all read it.  Minimum scans,
+``coset_nonlinearities`` and multi-threaded profiles scan afresh.
 
 The scan is vectorised: signs of ``f + q`` for a block of 2048
 consecutive indices are built from two cached sign tables (low / high
@@ -257,19 +260,32 @@ def second_order_nonlinearity(f: TruthTable) -> int:
     return min_coset_nonlinearity(f)[0]
 
 
+@lru_cache(maxsize=64)
+def coset_values(f: TruthTable) -> np.ndarray:
+    """nl(f + q) for every quadratic index: the one full scan of a table.
+
+    Cached per table, so each table is scanned once per process.  A
+    6-variable table's array takes 32 KB (2 MB at n=7); 64 entries hold
+    every catalog table.  Callers share the array, so it is read-only.
+    """
+    vals = coset_nonlinearities(f)
+    vals.setflags(write=False)
+    return vals
+
+
 def max_nl_over_quadratics(f: TruthTable) -> int:
     """Largest r with a nonempty level set (affine parts cannot raise it)."""
-    return max(int(vals.max()) for vals in _scan(f))
+    return int(coset_values(f).max())
 
 
 def nfh_profile(f: TruthTable, workers: int = 1) -> NlProfile:
     """Full coset-nonlinearity histogram of f.
 
-    ``workers`` threads each scan one contiguous run of whole blocks, so
-    no block is transformed twice; there are never more threads than
-    blocks, and a single range is scanned inline.  The partial
-    histograms merge by addition, so the result is identical for any
-    worker count.
+    A single range is counted from the cached :func:`coset_values`.
+    With ``workers`` > 1, threads each scan one contiguous run of whole
+    blocks, so no block is transformed twice; there are never more
+    threads than blocks.  The partial histograms merge by addition, so
+    the result is identical for any worker count.
     """
     _require_table(f)
     if workers < 1:
@@ -277,24 +293,23 @@ def nfh_profile(f: TruthTable, workers: int = 1) -> NlProfile:
     block = 1 << _sign_tables(f.n)[2]
     blocks = form_count(f.n) // block
     workers = min(workers, blocks)
-    bounds = [(block * (blocks * k // workers), block * (blocks * (k + 1) // workers)) for k in range(workers)]
     size = (1 << (f.n - 1)) + 1
-
-    def partial(rng: tuple[int, int]) -> np.ndarray:
-        return np.bincount(coset_nonlinearities(f, rng[0], rng[1]), minlength=size)
-
     if workers == 1:
-        partials = [partial(bounds[0])]
+        hist = np.bincount(coset_values(f), minlength=size)
     else:
+        bounds = [(block * (blocks * k // workers), block * (blocks * (k + 1) // workers)) for k in range(workers)]
+
+        def partial(rng: tuple[int, int]) -> np.ndarray:
+            return np.bincount(coset_nonlinearities(f, rng[0], rng[1]), minlength=size)
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(partial, bounds))
-    hist = np.sum(partials, axis=0)
+            hist = np.sum(list(pool.map(partial, bounds)), axis=0)
     return NlProfile(f.n, {int(r): int(c) for r, c in enumerate(hist) if c})
 
 
 def fh_set(f: TruthTable, r: int) -> FhSet:
     """Exact level set {q : nl(f + q) = r}."""
-    return FhSet(f.n, r, coset_nonlinearities(f) == r)
+    return FhSet(f.n, r, coset_values(f) == r)
 
 
 def level_set_outside(src_vals: np.ndarray, r: int, dst_vals: np.ndarray, rs) -> int | None:

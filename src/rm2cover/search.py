@@ -143,11 +143,12 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
         params.append((k, m, int(rng.integers(0, quadratic.form_count(6))), int(rng.integers(0, 64))))
 
     f1 = catalog_function(f"fun_{cfg.i1}")
-    vals1 = quadratic.coset_nonlinearities(f1)
+    vals1 = quadratic.coset_values(f1)
 
     def evaluate(param) -> SearchRecord:
         k, m, quad_index, linear_mask = param
         half = _candidate_half(cfg.i2, m, quad_index, linear_mask)
+        # candidate halves never repeat, so they bypass the cache
         relations = condition2_relations(vals1, quadratic.coset_nonlinearities(half))
         failed = [r for r in relations if not r["holds"]]
         return SearchRecord(k, m, quad_index, linear_mask, cond2_pass=not failed, failed_relations=failed)

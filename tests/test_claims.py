@@ -7,19 +7,19 @@ from rm2cover import (
     ClaimResult,
     TruthTable,
     catalog_function,
+    coset_values,
     lemma2_conclusion_check,
     lemma2_hypothesis,
     nfh_profile,
     proposition_spot_checks,
     summarize,
-    theorem1_condition2,
     verify_all,
     verify_nl2_values,
     verify_observation_1,
     verify_profile_claims,
     verify_remark_1,
 )
-from rm2cover.claims import CONFIRMED, DISCREPANCY, REFUTED, SKIPPED, worst_exit_code
+from rm2cover.claims import CONFIRMED, DISCREPANCY, REFUTED, SKIPPED, condition2_relations, worst_exit_code
 
 # every claim id the full run must produce, and the verdict recomputation
 # assigns to it (the refuted entries are printed values that two
@@ -121,20 +121,20 @@ class TestIndividualClaims:
 
 class TestLemma2:
     def test_hypothesis_examples(self):
-        f3 = catalog_function("fun_3")
+        p3 = nfh_profile(catalog_function("fun_3"))
         # level counts 448 at 16 versus a 64-strong tail at >= 28
-        assert lemma2_hypothesis(f3, f3, 28, 16)
+        assert lemma2_hypothesis(p3, p3, 28, 16)
         # an empty tail makes the hypothesis true whenever the left side is positive
-        assert lemma2_hypothesis(f3, f3, 29, 16)
-        assert not lemma2_hypothesis(f3, f3, 16, 24)
+        assert lemma2_hypothesis(p3, p3, 29, 16)
+        assert not lemma2_hypothesis(p3, p3, 16, 24)
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            lemma2_hypothesis(p3, nfh_profile(TruthTable.zeros(5)), 28, 16)
 
     def test_hypothesis_from_computed_profiles(self):
-        f4 = catalog_function("fun_4")
-        f3 = catalog_function("fun_3")
-        p4, p3 = nfh_profile(f4), nfh_profile(f3)
+        p4, p3 = nfh_profile(catalog_function("fun_4")), nfh_profile(catalog_function("fun_3"))
         tail4 = sum(c for r, c in p4.counts.items() if r >= 26)
         expected = p4.count(16) > sum(c for r, c in p3.counts.items() if r >= 26) or p3.count(16) > tail4
-        assert lemma2_hypothesis(f4, f3, 26, 16) == expected
+        assert lemma2_hypothesis(p4, p3, 26, 16) == expected
 
     def test_conclusion_check_confirms(self):
         f3 = catalog_function("fun_3")
@@ -150,22 +150,30 @@ class TestLemma2:
 
 class TestTheorem1Condition2:
     def test_pair_evaluation_structure(self):
-        result = theorem1_condition2(catalog_function("fun_4"), catalog_function("fun_4"), label="fun_4.fun_4")
-        assert len(result.details["relations"]) == 6
-        assert {rel["direction"] for rel in result.details["relations"]} == {"1->2", "2->1"}
+        vals4 = coset_values(catalog_function("fun_4"))
+        relations = condition2_relations(vals4, vals4)
+        assert len(relations) == 6
+        assert {rel["direction"] for rel in relations} == {"1->2", "2->1"}
         with pytest.raises(ValueError, match="differ in shape"):
-            theorem1_condition2(TruthTable.zeros(5), catalog_function("fun_4"))
+            condition2_relations(coset_values(TruthTable.zeros(5)), vals4)
 
     def test_empty_target_forces_failure(self):
         # fun_3 has 448 forms at 16 but none at 26, so the inclusion fails
-        f3 = catalog_function("fun_3")
-        result = theorem1_condition2(f3, f3)
-        rel = next(r for r in result.details["relations"] if r["r"] == 16)
+        vals3 = coset_values(catalog_function("fun_3"))
+        rel = next(r for r in condition2_relations(vals3, vals3) if r["r"] == 16)
         assert not rel["holds"] and rel["witness"] is not None
-        assert result.status == REFUTED  # instance verdict: the condition fails here
 
 
 class TestSpotChecksAndFullRun:
+    def test_non_positive_counts_rejected(self):
+        # a check over no instances would read as confirmed
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            proposition_spot_checks(trials=0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_all(trials=-3, thm1_samples=-8)
+        with pytest.raises(ValueError, match="thm1_samples must be >= 1"):
+            verify_all(thm1_samples=0)
+
     def test_proposition_spot_checks_smoke(self):
         results = proposition_spot_checks(seed=7, trials=2)
         assert [r.claim_id for r in results] == ["prop1.spot", "prop2.spot", "prop3.spot"]
@@ -208,33 +216,27 @@ class TestSpotChecksAndFullRun:
         assert json.dumps(bicond.as_json_dict())
 
     def test_verify_all_scans_each_table_once(self, monkeypatch):
-        # a cold run scans the 23 catalog tables its claims read once each,
-        # plus the witness search's 4 fun_i1 value scans and 4 candidate
-        # halves; a repeat run finds the 23 profiles cached
-        from rm2cover import claims, quadratic
+        # a cold run scans the 23 catalog tables its claims read once each
+        # (fun_4 and fun_6 serve the witness search too) plus 4 candidate
+        # halves; a repeat run finds the 23 tables cached
+        from rm2cover import quadratic
 
         scans: Counter[int] = Counter()
-        profiled: Counter[TruthTable] = Counter()
-        scan, nfh_profile = quadratic._scan, quadratic.nfh_profile
+        scan = quadratic._scan
 
         def counting_scan(f, *args):
             scans[f.n] += 1
             return scan(f, *args)
 
-        def counting_profile(f, *args, **kwargs):
-            profiled[f] += 1
-            return nfh_profile(f, *args, **kwargs)
-
         monkeypatch.setattr(quadratic, "_scan", counting_scan)
-        monkeypatch.setattr(quadratic, "nfh_profile", counting_profile)
-        claims._profile.cache_clear()
+        coset_values.cache_clear()
         per_call = []
         for _ in range(2):
             verify_all(seed=11, trials=1, thm1_samples=4)
             per_call.append(dict(scans))
             scans.clear()
-        assert per_call == [{6: 31, 7: 10}, {6: 8, 7: 10}]
-        assert len(profiled) == 23 and set(profiled.values()) == {1}
+        assert per_call == [{6: 27, 7: 10}, {6: 4, 7: 10}]
+        assert coset_values.cache_info().misses == 23
 
     def test_verify_all_rerun_determinism(self):
         first = [r.as_json_dict() for r in verify_all(seed=5, trials=1, thm1_samples=4)]

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -79,6 +80,22 @@ class TestBasicCommands:
         assert len(payload["condition2"]["relations"]) == 6
 
 
+    def test_concat_check_scans_each_half_once(self, capsys, monkeypatch):
+        from rm2cover import quadratic
+
+        scans = Counter()
+        scan = quadratic._scan
+
+        def counting_scan(f, *args):
+            scans[f.n] += 1
+            return scan(f, *args)
+
+        monkeypatch.setattr(quadratic, "_scan", counting_scan)
+        quadratic.coset_values.cache_clear()
+        code, _, _ = invoke(capsys, "concat-check", "fun_4", "fun_6")
+        assert code == 0 and scans == {6: 2}
+
+
 class TestSearchCommand:
     def test_search_writes_jsonl_and_summary(self, capsys, tmp_path):
         target = tmp_path / "records.jsonl"
@@ -144,6 +161,14 @@ class TestVerifyAll:
 
 
 class TestErrors:
+    def test_non_positive_counts(self, capsys):
+        # no instance checked must not read as confirmed
+        code, out, err = invoke(capsys, "verify-all", "--trials", "-3", "--samples", "-8")
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: trials must be >= 1, got -3" and "Traceback" not in err
+        code, _, err = invoke(capsys, "verify-all", "--samples", "0")
+        assert code == 1 and "error: thm1_samples must be >= 1" in err
+
     def test_unparseable_function(self, capsys):
         code, _, err = invoke(capsys, "nl2", "zzz")
         assert code == 1 and "error" in err

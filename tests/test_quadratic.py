@@ -248,12 +248,14 @@ class TestProfiles:
             return block_nl(*args)
 
         monkeypatch.setattr(quadratic, "_block_nl", counting)
+        quadratic.coset_values.cache_clear()  # a cached table is not transformed again
         return calls
 
     def test_workers_split_on_block_boundaries(self, block_calls):
         f = catalog_function("fun_6")
         reference = nfh_profile(f)
         for workers in range(1, 6):
+            quadratic.coset_values.cache_clear()
             block_calls.clear()
             assert nfh_profile(f, workers=workers) == reference
             assert len(block_calls) == 16  # 2^15 cosets in blocks of 2048, each transformed once
@@ -284,6 +286,15 @@ class TestProfiles:
                 m = random_affine_map(6, seed=seed)
                 g = _random_degree2(6, rng)
                 assert nfh_profile(apply_affine(f, m) ^ g) == reference
+
+    def test_coset_values_cached_and_read_only(self):
+        f = catalog_function("fun_7")
+        vals = quadratic.coset_values(f)
+        assert quadratic.coset_values(catalog_function("fun_7")) is vals
+        assert not vals.flags.writeable
+        assert np.array_equal(vals, coset_nonlinearities(f))
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0] = 0
 
     def test_coset_values_range_query(self, rng):
         f = catalog_function("fun_9")

@@ -93,6 +93,23 @@ class TestWitnessSearch:
         assert summary.candidates == 8
         assert (summary.max_nl2_exact or 0) <= 42
 
+    def test_fun_i1_scanned_once_across_calls(self, monkeypatch):
+        from rm2cover import quadratic
+
+        f4 = catalog_function("fun_4")
+        scanned = []
+        scan = quadratic._scan
+
+        def counting_scan(f, *args):
+            scanned.append(f)
+            return scan(f, *args)
+
+        monkeypatch.setattr(quadratic, "_scan", counting_scan)
+        quadratic.coset_values.cache_clear()
+        for seed in (1, 2):
+            witness_search(SearchConfig(i1=4, i2=6, seed=seed, budget=1))
+        assert scanned.count(f4) == 1
+
     def test_records_carry_full_candidate(self):
         records = []
         witness_search(
