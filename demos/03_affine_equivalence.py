@@ -3,7 +3,11 @@
 Two functions are equivalent here when f2 = f1(Ax+b) + g with A
 invertible and deg(g) <= 2.  The search prunes with invariants
 (derivative spectra, the third-derivative weight cube, coset profiles)
-and returns a witness that re-substitutes bit for bit.
+and returns a witness that re-substitutes bit for bit.  The derivative
+invariants come from Walsh transforms of the second-derivative signs:
+by the Wiener-Khinchin identity, transforming an autocorrelation gives
+the squared spectrum, and transforming squared spectra gives the
+autocorrelations, whose values are the third-derivative weights.
 """
 
 import numpy as np

@@ -4,9 +4,12 @@ functions of degree at most 2.
 Two functions f1, f2 are considered equivalent when
 ``f2 = f1(Ax + b) + g`` for an invertible matrix A, a translation b and
 some g of degree <= 2.  The search enumerates candidate column images of
-A with backtracking; candidate pruning uses the absolute Walsh-value
-multiset of directional derivatives, which this equivalence preserves
-direction-for-direction.
+A with backtracking.  It prunes with invariants that this equivalence
+preserves direction for direction: the squared Walsh spectrum of each
+derivative D_a f and the weights of all third derivatives D_a D_b D_c f.
+Both come from batched Walsh transforms of the second-derivative signs
+through the Wiener-Khinchin identity (spectrum squared = transform of
+the autocorrelation).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadratic
-from .core import AnfPolynomial, MAX_VARS, TruthTable, _moebius, anf_from_truth_table, truth_table_from_anf, walsh_spectrum
+from .core import AnfPolynomial, MAX_VARS, TruthTable, _moebius, anf_from_truth_table, fwht_rows, truth_table_from_anf
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -144,40 +147,70 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _derivative_keys(f: TruthTable) -> list[bytes]:
-    """Per direction a, the sorted |Walsh| values of x -> f(x) + f(x+a).
+def _derivative_invariants(f: TruthTable) -> tuple[np.ndarray, np.ndarray]:
+    """``(w2, t)``: row a of ``w2`` is the sorted squared Walsh spectrum of
+    D_a f(x) = f(x) + f(x + a), and ``t[a, b, c]`` is the weight of
+    D_a D_b D_c f (symmetric, zero wherever an argument repeats).
 
-    Composing with an invertible affine map permutes the directions, and
-    adding a degree-<=2 function changes each derivative by an affine
-    function; neither changes these keys.
+    An invertible affine substitution permutes the directions, and a
+    degree-<=2 addition changes each D_a f by an affine function and no
+    third derivative, so a witness map A has ``w2_2[a] = w2_1[Aa]`` and
+    ``t2[a, b, c] = t1[Aa, Ab, Ac]``.
+
+    Both come from the signs of D_a D_b f(x) as an ``[x, a, b]`` tensor
+    and the Wiener-Khinchin identity: transformed along x, its u = 0
+    slice is the autocorrelation of D_a f at b, whose transform along b
+    is the squared spectrum of D_a f; squared and transformed again, it
+    is 2^n (2^n - 2 t[a, b, c]) at ``[c, a, b]``.  int16 is exact for
+    n <= 6: by Parseval no partial sum exceeds 2^(2n).
     """
-    idx = np.arange(1 << f.n, dtype=np.uint32)
-    keys: list[bytes] = [b""]
-    for a in range(1, 1 << f.n):
-        der = f.bits ^ f.bits[idx ^ a]
-        w = np.abs(walsh_spectrum(TruthTable(f.n, der)).values)
-        w.sort()
-        keys.append(w.tobytes())
-    return keys
+    n = f.n
+    size = 1 << n
+    idx = np.arange(size)
+    xor = idx[:, None] ^ idx
+    s = 1 - 2 * f.bits.astype(np.int16)
+    d = s[:, None] * s[xor]  # d[x, a]: sign of D_a f(x)
+    w2 = np.empty((size, size), dtype=np.int16)
+    t = np.empty((size, size, size), dtype=np.uint8)
+    # 8 directions per step keep each temporary at 64 KB for n = 6
+    for lo in range(0, size, 8):
+        a = idx[lo : lo + 8]
+        g = d[:, a, None] * d[xor[:, None, :], a[None, :, None]]
+        fwht_rows(g)
+        spec = np.ascontiguousarray(g[0].T)
+        fwht_rows(spec)
+        w2[a] = spec.T
+        g *= g
+        fwht_rows(g)
+        np.subtract(size * size, g, out=g)
+        g >>= n + 1
+        t[:, a] = g
+    w2.sort(axis=1)
+    return w2, t
 
 
-def _third_derivative_weights(f: TruthTable) -> np.ndarray:
-    """T[a, b, c] = Hamming weight of the order-3 derivative along (a, b, c).
+def _shared_labels(blocks1, blocks2) -> tuple[np.ndarray, np.ndarray]:
+    """Integer labels for the rows of two sequences of 2-D blocks of one
+    dtype: equal rows, on either side, share a label.  Each block is
+    ranked on its own, so no temporary outgrows a block."""
+    sides = [
+        [np.unique(b.view(f"V{b.itemsize * b.shape[1]}").ravel(), return_inverse=True) for b in blocks]
+        for blocks in (blocks1, blocks2)
+    ]
+    keys = np.unique(np.concatenate([k for side in sides for k, _ in side]))
+    labels1, labels2 = (np.concatenate([np.searchsorted(keys, k)[inv] for k, inv in side]) for side in sides)
+    return labels1, labels2
 
-    Degree-<=2 additions vanish under three derivatives and an invertible
-    affine substitution composes the derivative with a bijection, so any
-    witness map must satisfy T2[a, b, c] = T1[Aa, Ab, Ac] exactly.  T is
-    symmetric in its arguments and zero whenever an argument repeats.
-    """
-    size = 1 << f.n
-    idx = np.arange(size, dtype=np.uint32)
-    xor_table = idx[:, None] ^ idx[None, :]
-    t = np.zeros((size, size, size), dtype=np.uint8)
-    for a in range(1, size):
-        da = f.bits ^ f.bits[idx ^ a]
-        second = da[xor_table] ^ da[None, :]  # row b: derivative along (a, b)
-        t[a] = (second[:, xor_table] ^ second[:, None, :]).sum(axis=2, dtype=np.uint8)
-    return t
+
+def _sorted_rows(t: np.ndarray):
+    """The rows ``t[a, b]``, each sorted, 8 values of a at a time."""
+    for lo in range(0, len(t), 8):
+        yield np.sort(t[lo : lo + 8], axis=2).reshape(-1, len(t))
+
+
+def _direction_rows(w2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row a: the spectrum row ``w2[a]`` followed by the histogram of ``t[a]``."""
+    return np.hstack([w2, [np.bincount(plane.ravel(), minlength=len(t) + 1) for plane in t]])
 
 
 def _high_degree_part(f: TruthTable) -> AnfPolynomial:
@@ -213,64 +246,30 @@ def equivalence_search(
         # both functions are within degree 2 of each other
         witness = EquivalenceWitness(AffineMap.identity(n), anf_from_truth_table(f1 ^ f2))
         return EquivalenceResult(FOUND, witness, 0)
-    full = frozenset(range(1, n + 1))
-    if (full in h1.monomials) != (full in h2.monomials):
-        return EquivalenceResult(NOT_FOUND, None, 0, reason="weight-parity mismatch of the degree->=3 part")
-
-    keys1 = _derivative_keys(f1)
-    keys2 = _derivative_keys(f2)
-    if sorted(keys1[1:]) != sorted(keys2[1:]):
+    w1, t1 = _derivative_invariants(f1)
+    w2, t2 = _derivative_invariants(f2)
+    if sorted(w1[1:].tolist()) != sorted(w2[1:].tolist()):
         return EquivalenceResult(NOT_FOUND, None, 0, reason="derivative-spectrum multiset mismatch")
 
-    if quadratic.nfh_profile(f1) != quadratic.nfh_profile(f2):
+    # f1 is the side that repeats across calls, so only its coset values
+    # go into the shared cache
+    if not np.array_equal(
+        np.bincount(quadratic.coset_values(f1)), np.bincount(quadratic.coset_nonlinearities(f2))
+    ):
         return EquivalenceResult(NOT_FOUND, None, 0, reason="coset-nonlinearity profile mismatch")
-
-    t1 = _third_derivative_weights(f1)
-    t2 = _third_derivative_weights(f2)
 
     # refine per-direction and per-pair classes with derivative-cube
     # marginals (the remaining arguments range over everything, so a
-    # witness bijection preserves these histograms)
-    ids: dict[bytes, int] = {}
-
-    def intern(key: bytes) -> int:
-        return ids.setdefault(key, len(ids))
-
-    pair1 = np.zeros((size, size), dtype=np.int32)
-    pair2 = np.zeros((size, size), dtype=np.int32)
-    for pair, t in ((pair1, t1), (pair2, t2)):
-        for a in range(size):
-            for b in range(size):
-                pair[a, b] = intern(np.bincount(t[a, b], minlength=size + 1).tobytes())
-    cls1 = np.array(
-        [intern(keys1[a] + np.bincount(t1[a].ravel(), minlength=size + 1).tobytes()) for a in range(size)],
-        dtype=np.int32,
-    )
-    cls2 = np.array(
-        [intern(keys2[a] + np.bincount(t2[a].ravel(), minlength=size + 1).tobytes()) for a in range(size)],
-        dtype=np.int32,
+    # witness bijection preserves these histograms); a sorted row of t
+    # stands for its histogram
+    cls1, cls2 = _shared_labels([_direction_rows(w1, t1)], [_direction_rows(w2, t2)])
+    pair1, pair2 = (
+        labels.reshape(size, size) for labels in _shared_labels(_sorted_rows(t1), _sorted_rows(t2))
     )
     if sorted(cls1[1:].tolist()) != sorted(cls2[1:].tolist()):
         return EquivalenceResult(NOT_FOUND, None, 0, reason="derivative-class multiset mismatch")
-    if sorted(pair1.ravel().tolist()) != sorted(pair2.ravel().tolist()):
+    if not np.array_equal(np.sort(pair1, axis=None), np.sort(pair2, axis=None)):
         return EquivalenceResult(NOT_FOUND, None, 0, reason="derivative-pair-class multiset mismatch")
-
-    # per depth k: the fixed f2-side blocks for directions 2**k .. 2**(k+1)-1
-    blocks2 = []
-    cls2_new = []
-    for depth in range(n):
-        old = np.arange(1 << depth)
-        new = old + (1 << depth)
-        blocks2.append(
-            (
-                pair2[np.ix_(new, old)],
-                pair2[np.ix_(new, new)],
-                t2[np.ix_(new, old, old)],
-                t2[np.ix_(new, new, old)],
-                t2[np.ix_(new, new, new)],
-            )
-        )
-        cls2_new.append(cls2[new])
 
     # candidate images of basis vectors, grouped by derivative class
     candidates_by_class: dict[int, list[int]] = {}
@@ -306,38 +305,43 @@ def equivalence_search(
                 return witness
         return None
 
-    def extend(depth: int, img: np.ndarray, span: frozenset[int]) -> EquivalenceWitness | None:
+    def extend(depth: int, img: np.ndarray) -> EquivalenceWitness | None:
+        # img[j] is the image of direction j < 2**depth; directions
+        # 2**depth + j map to img[j] ^ cand.  pair and t are symmetric,
+        # so matching the new rows against every direction so far
+        # checks every constraint among the first 2**(depth+1) directions
         if depth == n:
             return try_translations()
-        pair_no, pair_nn, cube_noo, cube_nno, cube_nnn = blocks2[depth]
-        for cand in candidates_by_class.get(int(cls2_new[depth][0]), ()):
-            if cand in span:
+        new = slice(1 << depth, 2 << depth)
+        full = slice(0, 2 << depth)
+        cls_new, pair_new, cube_new = cls2[new], pair2[new, full], t2[new, full, full]
+        for cand in candidates_by_class.get(int(cls_new[0]), ()):
+            if cand in img:
                 continue
             bump()
             img_new = img ^ cand
-            if not np.array_equal(cls1[img_new], cls2_new[depth]):
+            if not np.array_equal(cls1[img_new], cls_new):
                 continue
-            if not np.array_equal(pair1[np.ix_(img_new, img)], pair_no):
+            img_full = np.concatenate([img, img_new])
+            if not np.array_equal(pair1[np.ix_(img_new, img_full)], pair_new):
                 continue
-            if not np.array_equal(pair1[np.ix_(img_new, img_new)], pair_nn):
-                continue
-            if not (
-                np.array_equal(t1[np.ix_(img_new, img, img)], cube_noo)
-                and np.array_equal(t1[np.ix_(img_new, img_new, img)], cube_nno)
-                and np.array_equal(t1[np.ix_(img_new, img_new, img_new)], cube_nnn)
-            ):
+            if not np.array_equal(t1[np.ix_(img_new, img_full, img_full)], cube_new):
                 continue
             columns.append(cand)
-            result = extend(depth + 1, np.concatenate([img, img_new]), span | {int(v) for v in img_new})
+            result = extend(depth + 1, img_full)
             if result is not None:
                 return result
             columns.pop()
         return None
 
     try:
-        witness = extend(0, np.zeros(1, dtype=np.intp), frozenset({0}))
+        witness = extend(0, np.zeros(1, dtype=np.intp))
     except _BudgetExceeded:
         return EquivalenceResult(BUDGET_EXHAUSTED, None, nodes)
+    finally:
+        # extend refers to itself, a reference cycle that would keep t1
+        # and t2 alive until the next cyclic garbage collection
+        del extend
     if witness is None:
         return EquivalenceResult(NOT_FOUND, None, nodes)
     return EquivalenceResult(FOUND, witness, nodes)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -62,10 +61,6 @@ class TruthTable:
     @classmethod
     def ones(cls, n: int) -> "TruthTable":
         return cls(n, np.ones(1 << n, dtype=np.uint8))
-
-    @classmethod
-    def from_bits(cls, n: int, values: Iterable[int]) -> "TruthTable":
-        return cls(n, np.fromiter(values, dtype=np.uint8, count=1 << n))
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "TruthTable":

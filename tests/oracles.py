@@ -5,7 +5,9 @@ oracles evaluate functions monomial by monomial at explicit points and
 take distances by XOR + popcount against explicitly enumerated codeword
 tables.  ``row_layout_coset_nl`` is the coset scan in its earlier
 layout, one row per coset, with its own sign tables and its own Walsh
-butterflies.
+butterflies.  ``derivative_walsh_keys`` and ``third_derivative_weights``
+build the equivalence-search invariants by explicit gathers and a
+Hadamard matrix product, without the library's transform.
 """
 
 from __future__ import annotations
@@ -136,6 +138,38 @@ def row_layout_coset_nl(bits: np.ndarray, n: int, start: int, stop: int) -> np.n
         vals = (width >> 1) - np.abs(w).max(axis=1) // 2
         out.append(vals[max(start - lo0, 0) : stop - lo0])
     return np.concatenate([np.empty(0, dtype=np.int64), *out]).astype(np.uint8)
+
+
+def derivative_walsh_keys(bits: np.ndarray, n: int) -> np.ndarray:
+    """Row a: the sorted |Walsh| values of x -> f(x) + f(x+a).
+
+    The spectrum is a product with the explicit +-1 Hadamard matrix
+    (-1)^(u.x), one derivative at a time.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    idx = np.arange(1 << n, dtype=np.uint32)
+    parity = np.array([[bin(int(u) & int(x)).count("1") & 1 for x in idx] for u in idx])
+    hadamard = 1 - 2 * parity
+    keys = []
+    for a in range(1 << n):
+        der = bits ^ bits[idx ^ a]
+        keys.append(np.sort(np.abs(hadamard @ (1 - 2 * der.astype(np.int64)))))
+    return np.array(keys)
+
+
+def third_derivative_weights(bits: np.ndarray, n: int) -> np.ndarray:
+    """T[a, b, c] = Hamming weight of the order-3 derivative along (a, b, c),
+    gathered through explicit XOR index tables."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    size = 1 << n
+    idx = np.arange(size, dtype=np.uint32)
+    xor_table = idx[:, None] ^ idx[None, :]
+    t = np.zeros((size, size, size), dtype=np.uint8)
+    for a in range(1, size):
+        da = bits ^ bits[idx ^ a]
+        second = da[xor_table] ^ da[None, :]  # row b: derivative along (a, b)
+        t[a] = (second[:, xor_table] ^ second[:, None, :]).sum(axis=2, dtype=np.uint8)
+    return t
 
 
 def brute_second_order_nl_batch(tables: np.ndarray, n: int) -> np.ndarray:

@@ -17,9 +17,18 @@ from rm2cover import (
     truth_table_from_anf,
     weight,
 )
-from rm2cover.affine import BUDGET_EXHAUSTED, FOUND, NOT_FOUND, sample_affine_map
+from rm2cover.affine import (
+    BUDGET_EXHAUSTED,
+    DEFAULT_SEARCH_BUDGET,
+    FOUND,
+    NOT_FOUND,
+    _derivative_invariants,
+    sample_affine_map,
+)
+from rm2cover.catalog import catalog_names
 from rm2cover.claims import _random_degree2
-from oracles import gl2_order_fraction, random_tables
+from rm2cover.quadratic import coset_values
+from oracles import derivative_walsh_keys, gl2_order_fraction, random_tables, third_derivative_weights
 
 
 class TestInvertibility:
@@ -166,3 +175,113 @@ class TestEquivalenceSearch:
         payload = result.witness.as_json_dict()
         assert set(payload) == {"A", "b", "g"}
         assert json.dumps(payload)
+
+
+def _member(f, seed):
+    """f(Ax + b) + q for a seeded invertible A, translation b and degree-2 q."""
+    rng = np.random.default_rng(seed)
+    return apply_affine(f, sample_affine_map(f.n, rng)) ^ _random_degree2(f.n, rng)
+
+
+def _table(n, seed):
+    return TruthTable(n, np.random.default_rng([n, seed]).integers(0, 2, 1 << n, dtype=np.uint8))
+
+
+def _budget_target():
+    rng = np.random.default_rng(1)
+    return apply_affine(catalog_function("fun_4"), sample_affine_map(6, rng)) ^ _random_degree2(6, rng)
+
+
+# name: (inputs, budget, (status, reason, nodes, witness)), the expected
+# tuple recorded with the gather-based invariants and five block checks
+# per depth.  The remaining routes (derivative classes, pair classes, an
+# exhausted search) are reached by no catalog pair, coset member or
+# sampled table tried.
+PINNED = {
+    "degree": (
+        lambda: (catalog_function("fun_1"), catalog_function("fun_4")),
+        DEFAULT_SEARCH_BUDGET,
+        (NOT_FOUND, "degree mismatch of the degree->=3 part", 0, None),
+    ),
+    "derivative-spectrum": (
+        lambda: (catalog_function("fun_4"), catalog_function("fun_9")),
+        DEFAULT_SEARCH_BUDGET,
+        (NOT_FOUND, "derivative-spectrum multiset mismatch", 0, None),
+    ),
+    "profile": (
+        lambda: (catalog_function("fun_2"), catalog_function("top_fun_5")),
+        DEFAULT_SEARCH_BUDGET,
+        (NOT_FOUND, "coset-nonlinearity profile mismatch", 0, None),
+    ),
+    "budget-3": (
+        lambda: (catalog_function("fun_4"), _budget_target()),
+        3,
+        (BUDGET_EXHAUSTED, None, 4, None),
+    ),
+    "found-n4": (
+        lambda: (_table(4, 0), _member(_table(4, 0), 0)),
+        DEFAULT_SEARCH_BUDGET,
+        (FOUND, None, 7, {"A": ["5", "6", "4", "8"], "b": "0", "g": "x1+x2+x3+x4+x1x2+x1x4+x2x3+x2x4"}),
+    ),
+    "found-n5": (
+        lambda: (_table(5, 0), _member(_table(5, 0), 0)),
+        DEFAULT_SEARCH_BUDGET,
+        (FOUND, None, 45, {"A": ["3", "c", "12", "2", "8"], "b": "14", "g": "1+x1+x2+x5+x1x3+x2x3+x4x5"}),
+    ),
+    "found-fun_15": (
+        lambda: (catalog_function("fun_15"), _member(catalog_function("fun_15"), 4)),
+        DEFAULT_SEARCH_BUDGET,
+        (
+            FOUND,
+            None,
+            1856,
+            {
+                "A": ["b", "4", "18", "32", "38", "22"],
+                "b": "4",
+                "g": "x1+x2+x3+x4+x5+x6+x1x2+x1x3+x1x6+x2x5+x3x5+x3x6+x4x5",
+            },
+        ),
+    ),
+    "found-fun_2-top_fun_7": (
+        lambda: (catalog_function("fun_2"), catalog_function("top_fun_7")),
+        DEFAULT_SEARCH_BUDGET,
+        (FOUND, None, 65, {"A": ["1", "c", "10", "30", "8", "2"], "b": "2", "g": "x1x5+x2x5+x2x6"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_search_pinned(case):
+    inputs, budget, expected = PINNED[case]
+    result = equivalence_search(*inputs(), budget=budget)
+    witness = None if result.witness is None else result.witness.as_json_dict()
+    assert (result.status, result.reason, result.nodes, witness) == expected
+
+
+def test_fresh_target_not_cached():
+    # only f1 repeats across calls, so only f1's coset values are cached
+    f1 = catalog_function("fun_6")
+    coset_values.cache_clear()
+    result = equivalence_search(f1, _member(f1, 99))
+    assert result.status == FOUND
+    assert coset_values.cache_info().currsize <= 1
+
+
+class TestDerivativeInvariants:
+    @staticmethod
+    def check(f):
+        w2, t = _derivative_invariants(f)
+        assert np.array_equal(w2, derivative_walsh_keys(f.bits, f.n).astype(np.int64) ** 2)
+        assert np.array_equal(t, third_derivative_weights(f.bits, f.n))
+        assert all(np.array_equal(t, t.transpose(p)) for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0)))
+        diag = np.arange(1 << f.n)
+        assert not t[diag, diag].any() and not t[0].any()
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_matches_gather_oracles(self, name):
+        self.check(catalog_function(name))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_tables_match_gather_oracles(self, n):
+        for bits in random_tables(np.random.default_rng(n), 3, n):
+            self.check(TruthTable(n, bits))
