@@ -37,7 +37,3 @@ print("level(16) within level(26)?", witness is None, "- counterexample index", 
 m = rm.random_affine_map(6, seed=1)
 assert rm.nfh_profile(rm.apply_affine(f, m)) == profile
 print("profile unchanged under a random invertible affine substitution")
-
-# Threads scan contiguous index ranges whose histograms merge bit-identically.
-assert rm.nfh_profile(f, workers=2) == profile
-print("two-thread recomputation matches")

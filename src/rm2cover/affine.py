@@ -301,7 +301,8 @@ def equivalence_search(
                 b_vec = np.array([(b_int >> j) & 1 for j in range(n)], dtype=np.uint8)
                 g = anf_from_truth_table(TruthTable(n, diff))
                 witness = EquivalenceWitness(AffineMap(n, a, b_vec), g)
-                assert witness.substitute(f1) == f2
+                if witness.substitute(f1) != f2:
+                    raise RuntimeError(f"equivalence witness fails its own check: {witness.as_json_dict()}")
                 return witness
         return None
 

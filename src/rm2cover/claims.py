@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import affine, quadratic
+from . import affine, quadratic, search
 from .catalog import catalog_function
 from .core import TruthTable, concatenate, nonlinearity, walsh_spectrum
+from .search import condition2_relations  # re-exported: claims.condition2_relations stays public
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -310,33 +311,6 @@ def lemma2_conclusion_check(f1: TruthTable, f2: TruthTable, n1: int, n2: int, la
     )
 
 
-def condition2_relations(vals1: np.ndarray, vals2: np.ndarray) -> list[dict]:
-    """The six level-set inclusions behind the nl2 = 42 characterisation.
-
-    The arguments are the coset-nonlinearity arrays of the two halves
-    (:func:`quadratic.coset_values`).  For both orderings:
-    level(16) within level(26); level(18) within level(24) u level(26);
-    level(20) within level(22) u level(24) u level(26).  Each verdict
-    carries a counterexample index on failure.
-    """
-    if vals1.shape != vals2.shape:
-        raise ValueError(f"coset-value arrays differ in shape: {vals1.shape} vs {vals2.shape}")
-    relations = []
-    for direction, src, dst in (("1->2", vals1, vals2), ("2->1", vals2, vals1)):
-        for r, targets in ((16, (26,)), (18, (24, 26)), (20, (22, 24, 26))):
-            witness = quadratic.level_set_outside(src, r, dst, targets)
-            relations.append(
-                {
-                    "direction": direction,
-                    "r": r,
-                    "targets": list(targets),
-                    "holds": witness is None,
-                    "witness": witness,
-                }
-            )
-    return relations
-
-
 # ---------------------------------------------------------------------------
 # randomized spot checks of the propositions
 
@@ -434,8 +408,6 @@ def verify_all(seed: int = DEFAULT_SEED, trials: int = 3, thm1_samples: int = 4)
     small values suitable for an interactive run.  Both must be at least
     1: a check over no instances would confirm nothing.
     """
-    from . import search  # deferred: search builds on the checks above
-
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if thm1_samples < 1:

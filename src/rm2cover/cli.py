@@ -111,7 +111,6 @@ def build_parser() -> _Parser:
     add_function_arg(p)
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     p.add_argument("--out", default=None, help="write the report to this path (atomic)")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("fh", help="level set of quadratics at a given nonlinearity")
     add_function_arg(p)
@@ -163,7 +162,7 @@ def _cmd_nl2(args) -> int:
 
 def _cmd_profile(args) -> int:
     f = resolve_function(args.function, args.n)
-    profile = quadratic.nfh_profile(f, workers=args.threads)
+    profile = quadratic.nfh_profile(f)
     _write_text(args.out, _profile_text(profile, args.format))
     return 0
 
@@ -198,7 +197,7 @@ def _cmd_concat_check(args) -> int:
     f2 = resolve_function(args.function2, args.n)
     instances = claims.lemma2_instances(f1, f2)
     best = min(map(sum, instances), default=None)
-    relations = claims.condition2_relations(quadratic.coset_values(f1), quadratic.coset_values(f2))
+    relations = search.condition2_relations(quadratic.coset_values(f1), quadratic.coset_values(f2))
     payload = {
         "n": f1.n,
         "f1": f1.to_hex(),

@@ -11,8 +11,8 @@ the minimum, the per-value histogram is the coset-nonlinearity profile,
 and the index sets at a fixed value are the level sets used in the
 concatenation-bound checks.  :func:`coset_values` is that one full scan
 per table: it caches the read-only array, and profiles, level sets, the
-maximum and the condition-2 inclusions all read it.  Minimum scans,
-``coset_nonlinearities`` and multi-threaded profiles scan afresh.
+maximum and the condition-2 inclusions all read it.  Minimum scans
+and ``coset_nonlinearities`` scan afresh.
 
 The scan is vectorised: signs of ``f + q`` for a block of 2048
 consecutive indices are built from two cached sign tables (low / high
@@ -20,15 +20,12 @@ index bits) as a ``(2**n, 2048)`` array, one column per coset.  The
 coset axis is innermost, so every stage of the in-place Walsh transform
 along axis 0 is one contiguous operation over whole rows of 2048
 cosets, and the spectrum maximum is a reduction over rows.  One block
-iterator feeds every reduction (values, minimum, maximum, histogram);
-histograms of ranges merge by addition, so multi-threaded profiles are
-bit-identical to single-threaded ones.
+iterator feeds every reduction (values, minimum, maximum, histogram).
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -198,11 +195,6 @@ def _sign_tables(n: int):
     return np.ascontiguousarray(span(mono_chi[:low_bits]).T), span(mono_chi[low_bits:]), low_bits
 
 
-def _require_table(f: TruthTable) -> None:
-    if f.n < 2:
-        raise ValueError("coset scans need n >= 2")
-
-
 def _block_nl(chi_f: np.ndarray, chi_high_row: np.ndarray, chi_low: np.ndarray, half: int) -> np.ndarray:
     """nl(f + q) for one block: column k of the spectrum block is coset k."""
     w = ((chi_f * chi_high_row)[:, None] * chi_low).astype(np.int16)
@@ -213,7 +205,8 @@ def _block_nl(chi_f: np.ndarray, chi_high_row: np.ndarray, chi_low: np.ndarray, 
 
 def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
     """nl(f + q) for the quadratic indices in [start, stop), one block at a time."""
-    _require_table(f)
+    if f.n < 2:
+        raise ValueError("coset scans need n >= 2")
     total = form_count(f.n)
     if stop is None:
         stop = total
@@ -278,33 +271,10 @@ def max_nl_over_quadratics(f: TruthTable) -> int:
     return int(coset_values(f).max())
 
 
-def nfh_profile(f: TruthTable, workers: int = 1) -> NlProfile:
-    """Full coset-nonlinearity histogram of f.
-
-    A single range is counted from the cached :func:`coset_values`.
-    With ``workers`` > 1, threads each scan one contiguous run of whole
-    blocks, so no block is transformed twice; there are never more
-    threads than blocks.  The partial histograms merge by addition, so
-    the result is identical for any worker count.
-    """
-    _require_table(f)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    block = 1 << _sign_tables(f.n)[2]
-    blocks = form_count(f.n) // block
-    workers = min(workers, blocks)
-    size = (1 << (f.n - 1)) + 1
-    if workers == 1:
-        hist = np.bincount(coset_values(f), minlength=size)
-    else:
-        bounds = [(block * (blocks * k // workers), block * (blocks * (k + 1) // workers)) for k in range(workers)]
-
-        def partial(rng: tuple[int, int]) -> np.ndarray:
-            return np.bincount(coset_nonlinearities(f, rng[0], rng[1]), minlength=size)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hist = np.sum(list(pool.map(partial, bounds)), axis=0)
-    return NlProfile(f.n, {int(r): int(c) for r, c in enumerate(hist) if c})
+def nfh_profile(f: TruthTable) -> NlProfile:
+    """Full coset-nonlinearity histogram of f, counted from the cached
+    :func:`coset_values`."""
+    return NlProfile(f.n, dict(enumerate(np.bincount(coset_values(f)))))
 
 
 def fh_set(f: TruthTable, r: int) -> FhSet:

@@ -22,7 +22,6 @@ import numpy as np
 from . import quadratic
 from .affine import AffineMap, sample_affine_map, apply_affine
 from .catalog import catalog_function
-from .claims import condition2_relations
 from .core import TruthTable, concatenate
 
 DEFAULT_THRESHOLD = 41
@@ -67,6 +66,9 @@ class SearchConfig:
             raise ValueError("budget must be positive")
         if self.fail_check_rate < 1 or self.threads < 1:
             raise ValueError("fail_check_rate and threads must be >= 1")
+        if self.threshold > DEFAULT_THRESHOLD:
+            # a pass must be confirmable as exactly 42, so never early-exit above 41
+            raise ValueError(f"threshold must be <= {DEFAULT_THRESHOLD}, got {self.threshold}")
 
 
 @dataclass
@@ -123,6 +125,33 @@ class FilterContradiction(RuntimeError):
         self.record = record
 
 
+def condition2_relations(vals1: np.ndarray, vals2: np.ndarray) -> list[dict]:
+    """The six level-set inclusions behind the nl2 = 42 characterisation.
+
+    The arguments are the coset-nonlinearity arrays of the two halves
+    (:func:`quadratic.coset_values`).  For both orderings:
+    level(16) within level(26); level(18) within level(24) u level(26);
+    level(20) within level(22) u level(24) u level(26).  Each verdict
+    carries a counterexample index on failure.
+    """
+    if vals1.shape != vals2.shape:
+        raise ValueError(f"coset-value arrays differ in shape: {vals1.shape} vs {vals2.shape}")
+    relations = []
+    for direction, src, dst in (("1->2", vals1, vals2), ("2->1", vals2, vals1)):
+        for r, targets in ((16, (26,)), (18, (24, 26)), (20, (22, 24, 26))):
+            witness = quadratic.level_set_outside(src, r, dst, targets)
+            relations.append(
+                {
+                    "direction": direction,
+                    "r": r,
+                    "targets": list(targets),
+                    "holds": witness is None,
+                    "witness": witness,
+                }
+            )
+    return relations
+
+
 def _candidate_half(i2: int, m: AffineMap, quad_index: int, linear_mask: int) -> TruthTable:
     return apply_affine(catalog_function(f"fun_{i2}"), m) ^ quadratic.degree2_table(6, quad_index, linear_mask)
 
@@ -159,8 +188,6 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             records = list(pool.map(evaluate, params))
 
-    # a pass must be confirmable as exactly 42, so never early-exit above 41
-    threshold = min(cfg.threshold, DEFAULT_THRESHOLD)
     fails_seen = 0
     exact_checked = 0
     max_exact: int | None = None
@@ -173,7 +200,7 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
             fails_seen += 1
         if check:
             f = concatenate(f1, _candidate_half(cfg.i2, record.map, record.quad_index, record.linear_mask))
-            result = exact_nl2_7(f, threshold=threshold)
+            result = exact_nl2_7(f, threshold=cfg.threshold)
             record.nl2_value, record.nl2_exact = result.value, result.exact
             exact_checked += 1
             if result.exact:

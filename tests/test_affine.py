@@ -5,6 +5,7 @@ import pytest
 
 from rm2cover import (
     AffineMap,
+    EquivalenceWitness,
     TruthTable,
     anf_from_truth_table,
     apply_affine,
@@ -156,6 +157,12 @@ class TestEquivalenceSearch:
         result = equivalence_search(f, target)
         assert result.status == FOUND
         assert result.witness.substitute(f) == target
+
+    def test_failed_witness_check_raises(self, monkeypatch):
+        # the check is explicit, so it also runs under python -O
+        monkeypatch.setattr(EquivalenceWitness, "substitute", lambda self, f1: TruthTable.zeros(6))
+        with pytest.raises(RuntimeError, match="witness fails its own check"):
+            equivalence_search(catalog_function("fun_2"), catalog_function("top_fun_7"))
 
     def test_budget_exhaustion(self):
         rng = np.random.default_rng(1)

@@ -43,11 +43,6 @@ class TestBasicCommands:
         assert payload["n"] == 6 and payload["sum"] == 32768
         assert payload["counts"]["16"] == 224
 
-    def test_profile_threads_match_single_thread(self, capsys):
-        _, single, _ = invoke(capsys, "profile", "fun_5", "--threads", "1")
-        code, threaded, _ = invoke(capsys, "profile", "fun_5", "--threads", "2")
-        assert code == 0 and threaded == single
-
     def test_profile_out_file_atomic(self, capsys, tmp_path):
         target = tmp_path / "profile.csv"
         code, out, _ = invoke(capsys, "profile", "fun_3", "--format", "csv", "--out", str(target))
@@ -168,6 +163,17 @@ class TestErrors:
         assert err.splitlines()[-1] == "error: trials must be >= 1, got -3" and "Traceback" not in err
         code, _, err = invoke(capsys, "verify-all", "--samples", "0")
         assert code == 1 and "error: thm1_samples must be >= 1" in err
+
+    def test_search_threshold_above_41_rejected(self, capsys):
+        # a pass must be confirmable as exactly 42, so the bound is not clamped silently
+        code, out, err = invoke(capsys, "search", "--i1", "4", "--i2", "4", "--threshold", "45")
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: threshold must be <= 41, got 45" and "Traceback" not in err
+
+    def test_profile_has_no_threads_option(self, capsys):
+        code, out, err = invoke(capsys, "profile", "fun_5", "--threads", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
 
     def test_unparseable_function(self, capsys):
         code, _, err = invoke(capsys, "nl2", "zzz")

@@ -251,30 +251,19 @@ class TestProfiles:
         quadratic.coset_values.cache_clear()  # a cached table is not transformed again
         return calls
 
-    def test_workers_split_on_block_boundaries(self, block_calls):
+    def test_profile_reads_the_one_cached_scan(self, block_calls):
         f = catalog_function("fun_6")
-        reference = nfh_profile(f)
-        for workers in range(1, 6):
-            quadratic.coset_values.cache_clear()
-            block_calls.clear()
-            assert nfh_profile(f, workers=workers) == reference
-            assert len(block_calls) == 16  # 2^15 cosets in blocks of 2048, each transformed once
-
-    def test_single_block_profile_runs_inline(self, block_calls, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started for a single block")
-
-        monkeypatch.setattr(quadratic, "ThreadPoolExecutor", no_pool)
-        f = TruthTable.from_int(4, 0x6A3C)
-        profile = nfh_profile(f, workers=8)
+        profile = nfh_profile(f)
+        assert len(block_calls) == 16  # 2^15 cosets in blocks of 2048, each transformed once
+        block_calls.clear()
+        assert nfh_profile(f) == profile
+        assert max_nl_over_quadratics(f) == profile.max_r
+        assert block_calls == []  # both read the cached coset values
+        small = TruthTable.from_int(4, 0x6A3C)
+        small_profile = nfh_profile(small)
         assert len(block_calls) == 1
-        assert profile.counts == dict(zip(*np.unique(row_layout_coset_nl(f.bits, 4, 0, 64), return_counts=True)))
-
-    def test_shard_and_worker_determinism(self):
-        f = catalog_function("fun_5")
-        reference = nfh_profile(f)
-        assert nfh_profile(f, workers=2) == reference
-        assert nfh_profile(f, workers=3) == reference  # 16 blocks do not split evenly into 3 ranges
+        expected = np.unique(row_layout_coset_nl(small.bits, 4, 0, 64), return_counts=True)
+        assert small_profile.counts == dict(zip(*expected))
 
     def test_affine_invariance(self, rng):
         from rm2cover.claims import _random_degree2

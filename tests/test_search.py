@@ -52,6 +52,8 @@ class TestConfig:
             SearchConfig(budget=0)
         with pytest.raises(ValueError):
             SearchConfig(threads=0)
+        with pytest.raises(ValueError, match="threshold must be <= 41"):
+            SearchConfig(threshold=45)
 
     def test_defaults(self):
         cfg = SearchConfig()
