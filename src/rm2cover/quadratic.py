@@ -14,6 +14,27 @@ per table: it caches the read-only array, and profiles, level sets, the
 maximum and the condition-2 inclusions all read it.  Minimum scans
 and ``coset_nonlinearities`` scan afresh.
 
+The minimum at n >= 3 comes from the halves f = f1 || f2 on x_n = 0 and
+x_n = 1.  A homogeneous quadratic in n variables is q + x_n * l with q
+a quadratic in the first n - 1 variables and l linear, and the linear
+part is absorbed by the affine functions on each half (the (u | u + v)
+construction of Reed-Muller codes), so
+
+    min over Q of nl(f + Q) = min over q of s[q],
+    s[q] = nl(f1 + q) + nl(f2 + q).
+
+At n = 7 that is two scans of 2**15 cosets of 64 points instead of one
+of 2**21 cosets of 128.  Threshold mode returns what a direct block
+scan returns (see :func:`min_coset_nonlinearity`) in three steps:
+
+1. scan the whole blocks among the first ``form_count(n - 1)`` indices
+   directly (16 at n = 7, none at n <= 6), the work of one half's scan,
+   and return at the first block whose minimum is below the threshold;
+2. otherwise, if ``min s`` is not below the threshold, it is the exact
+   minimum;
+3. otherwise scan the later blocks directly, in index order, and return
+   the first block minimum below the threshold.
+
 The scan is vectorised: signs of ``f + q`` for a block of 2048
 consecutive indices are built from two cached sign tables (low / high
 index bits) as a ``(2**n, 2048)`` array, one column per coset.  The
@@ -32,13 +53,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import AnfPolynomial, TruthTable, fwht_rows, truth_table_from_anf
+from .core import AnfPolynomial, TruthTable, fwht_rows, split, truth_table_from_anf
 
 # Block size: 2**LOW_BITS cosets per batched transform.  It is part of
-# the results, not only of the speed: threshold mode returns the running
-# minimum at the end of the first block below the threshold, so its upper
-# bound (``SearchRecord.nl2_value``, ``rm2cover nl2 --threshold``) depends
-# on where blocks end.  Changing it changes those outputs.
+# the results, not only of the speed: threshold mode returns the minimum
+# of the first block below the threshold, so its upper bound
+# (``SearchRecord.nl2_value``, ``rm2cover nl2 --threshold``) depends on
+# where blocks end, also where the halves' minimum decides that no block
+# exits.  Changing it changes those outputs.
 _LOW_BITS = 11
 
 
@@ -166,6 +188,11 @@ class FhSet:
 # vectorised scan machinery
 
 
+def _low_bits(n: int) -> int:
+    """Index bits below a block boundary: each block holds 2**low_bits cosets."""
+    return min(pair_count(n), _LOW_BITS)
+
+
 @lru_cache(maxsize=None)
 def _sign_tables(n: int):
     """Cached (chi_low, chi_high, low_bits) sign tables for n.
@@ -183,7 +210,7 @@ def _sign_tables(n: int):
         xi = (idx >> (i - 1)) & 1
         xj = (idx >> (j - 1)) & 1
         mono_chi[p] = 1 - 2 * (xi & xj).astype(np.int8)
-    low_bits = min(m, _LOW_BITS)
+    low_bits = _low_bits(n)
 
     def span(rows: np.ndarray) -> np.ndarray:
         out = np.ones((1 << len(rows), 1 << n), dtype=np.int8)
@@ -227,21 +254,47 @@ def coset_nonlinearities(f: TruthTable, start: int = 0, stop: int | None = None)
     return np.concatenate([np.empty(0, dtype=np.uint8), *_scan(f, start, stop)])  # an empty range yields no block
 
 
-def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> tuple[int, bool]:
-    """Minimum of nl(f + q) over all quadratics q, block by block.
+def _first_below(blocks: Iterator[np.ndarray], threshold: int) -> int | None:
+    """Minimum of the first block whose minimum is below threshold, if any."""
+    for vals in blocks:
+        best = int(vals.min())
+        if best < threshold:
+            return best
+    return None
 
-    Without a threshold the scan is exhaustive and the result exact.
-    With ``threshold`` the scan stops at the end of the first block whose
-    running minimum is below it; the returned value is then an upper
-    bound proving the minimum is below the threshold (second element
-    False).  A returned True always means the exact minimum.
+
+def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> tuple[int, bool]:
+    """Minimum of nl(f + q) over all quadratics q.
+
+    At n >= 3 this is min over (n-1)-variable forms q of
+    s[q] = nl(f1 + q) + nl(f2 + q) for the halves f = f1 || f2, from two
+    uncached half scans; at n = 2 it is the one block of the direct scan.
+    Without a threshold the result is exact.
+
+    With ``threshold`` the result is that of a direct block-by-block
+    scan stopped at the end of the first block whose running minimum is
+    below it: that block's minimum, an upper bound proving the minimum
+    is below the threshold (second element False).  It is found in three
+    steps: (1) scan the whole blocks among the first ``form_count(n - 1)``
+    indices directly; (2) else return ``min s`` as exact if it is not
+    below the threshold; (3) else scan the later blocks directly, in
+    index order.  A returned True always means the exact minimum.
     """
-    best = 1 << f.n
-    for vals in _scan(f):
-        best = min(best, int(vals.min()))
-        if threshold is not None and best < threshold:
+    if f.n < 3:  # one block, and 1-variable halves have no quadratic forms
+        best = int(coset_nonlinearities(f).min())
+        return best, threshold is None or best >= threshold
+    low_bits = _low_bits(f.n)
+    head = form_count(f.n - 1) >> low_bits  # 16 blocks at n = 7, none below
+    if threshold is not None and head:
+        best = _first_below(_scan(f, 0, head << low_bits), threshold)
+        if best is not None:
             return best, False
-    return best, True
+    f1, f2 = split(f)
+    s = coset_nonlinearities(f1) + coset_nonlinearities(f2)  # below 2**(n-1): fits uint8
+    best = int(s.min())
+    if threshold is None or best >= threshold:
+        return best, True
+    return _first_below(_scan(f, head << low_bits), threshold), False
 
 
 def second_order_nonlinearity(f: TruthTable) -> int:

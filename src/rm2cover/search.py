@@ -5,7 +5,7 @@ The candidate family is ``fun_i1 || (fun_i2(Ax+b) + g)`` with
 ``i1, i2 in {4, 6}``, A invertible, b arbitrary and g a homogeneous
 quadratic plus a linear part.  For each sampled candidate the six
 level-set inclusions (condition 2) act as a fast filter; a passing
-candidate is confirmed by the exact 128-point scan.  Per the
+candidate is confirmed by the exact nl2 computation.  Per the
 characterisation, a pass must yield exactly 42 and a failure at most 40
 — any counterexample is refutation-grade and aborts the run with a full
 candidate dump.
@@ -38,10 +38,13 @@ class Nl2Result(NamedTuple):
 def exact_nl2_7(f: TruthTable, threshold: int | None = None) -> Nl2Result:
     """Exact second-order nonlinearity of a 7-variable function.
 
-    Scans all 2**21 homogeneous quadratics in blocks of 2048.  With
-    ``threshold`` the scan stops at the end of the first block whose
-    running minimum is below it and returns that running minimum, an
-    upper bound proving nl2 < threshold without being exact.
+    The minimum over the 2**21 homogeneous quadratics is taken from the
+    two 6-variable halves f1 || f2 as min over q of nl(f1 + q) + nl(f2 + q)
+    (:func:`quadratic.min_coset_nonlinearity`): two scans of 2**15 cosets.
+    With ``threshold`` the result is that of a direct scan in blocks of
+    2048 stopped at the end of the first block whose running minimum is
+    below it: that minimum, an upper bound proving nl2 < threshold
+    without being exact.
     """
     if f.n != 7:
         raise ValueError(f"the exact kernel is for n=7, got n={f.n}")

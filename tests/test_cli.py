@@ -6,6 +6,7 @@ import pytest
 from rm2cover.cli import run
 
 GOLDEN_FUN3_CSV = "r,count\n16,448\n20,16128\n24,16128\n28,64\n"
+FUN4_FUN6 = "6820ea8042a0c00062480888eac08000"  # fun_4 || fun_6
 
 
 def invoke(capsys, *argv):
@@ -65,6 +66,18 @@ class TestBasicCommands:
         payload = json.loads(out)
         assert code == 0 and payload["status"] == "found"
         assert set(payload["witness"]) == {"A", "b", "g"}
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [((), "32\n"), (("--threshold", "41"), "<41 (upper bound 32)\n"), (("--threshold", "30"), "32\n")],
+    )
+    def test_nl2_concatenation_output(self, capsys, extra, expected):
+        code, out, _ = invoke(capsys, "nl2", FUN4_FUN6, *extra)
+        assert code == 0 and out == expected
+
+    def test_concat_check_exact(self, capsys):
+        code, out, _ = invoke(capsys, "concat-check", "fun_4", "fun_6", "--exact")
+        assert code == 0 and json.loads(out)["nl2"] == {"value": 32, "exact": True}
 
     def test_concat_check(self, capsys):
         code, out, _ = invoke(capsys, "concat-check", "fun_3", "fun_3")
@@ -186,7 +199,7 @@ class TestErrors:
     def test_missing_n_for_plain_constant(self, capsys):
         # "1" parses as the constant ANF over one variable; nl2 needs n >= 2
         code, _, err = invoke(capsys, "nl2", "1")
-        assert code == 1
+        assert code == 1 and err.splitlines()[-1] == "error: coset scans need n >= 2"
 
     def test_hex_with_wrong_n(self, capsys):
         code, _, err = invoke(capsys, "nl2", "0" * 16, "--n", "7")

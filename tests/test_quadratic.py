@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,17 +27,40 @@ from rm2cover.catalog import catalog_names
 from rm2cover.quadratic import NlProfile, form_count, pair_count, variable_pairs
 from oracles import brute_second_order_nl, brute_second_order_nl_batch, random_tables, row_layout_coset_nl
 
+STEP3_TABLE = "109bc89eac728b88e5f3d596fb123488"  # fun_4||fun_6 + q_506521 at n=7
 
-def _oracle_threshold_min(f: TruthTable, threshold: int) -> tuple[int, bool]:
-    """Threshold mode on the row-layout oracle kernel: stop after the first
-    block whose running minimum is below the threshold."""
+
+def _oracle_block_mins(f: TruthTable):
+    """Minimum of each block of 2048 indices of the row-layout oracle kernel, lazily."""
     total, block = form_count(f.n), 2048
-    best = 1 << f.n
     for lo in range(0, total, block):
-        best = min(best, int(row_layout_coset_nl(f.bits, f.n, lo, min(lo + block, total)).min()))
-        if best < threshold:
+        yield int(row_layout_coset_nl(f.bits, f.n, lo, min(lo + block, total)).min())
+
+
+def _oracle_threshold_min(block_mins, threshold: int | None) -> tuple[int, bool]:
+    """Threshold mode over block minima: stop after the first block whose
+    running minimum is below the threshold; without one, scan them all."""
+    best = math.inf
+    for block_min in block_mins:
+        best = min(best, block_min)
+        if threshold is not None and best < threshold:
             return best, False
     return best, True
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Records n for each block transform the scan makes."""
+    calls = []
+    block_nl = quadratic._block_nl
+
+    def counting(chi_f, *args):
+        calls.append(chi_f.size.bit_length() - 1)
+        return block_nl(chi_f, *args)
+
+    monkeypatch.setattr(quadratic, "_block_nl", counting)
+    quadratic.coset_values.cache_clear()  # a cached table is not transformed again
+    return calls
 
 
 class TestEnumeration:
@@ -152,6 +178,7 @@ class TestSecondOrderNonlinearity:
             ("fun_5", 17, 9),  # nl2 + 1: the first 16 lies in block 9
             ("fun_10", 17, 0),  # block 0 holds a 16 before its minimum 12
             ("24bc4fd3167e58de", 15, 3),  # block 4 holds an 11, below the exit value 13
+            (STEP3_TABLE, 35, 167),  # no exit in the 16 head blocks; exit value 34, nl2 32
         ],
     )
     def test_early_exit_stops_after_first_block_below_threshold(self, spec, threshold, exit_block):
@@ -165,7 +192,74 @@ class TestSecondOrderNonlinearity:
         assert k - 1 == exit_block
         expected = int(coset_nonlinearities(f, 0, k * block).min())
         assert min_coset_nonlinearity(f, threshold) == (expected, False)
-        assert _oracle_threshold_min(f, threshold) == (expected, False)
+        assert _oracle_threshold_min(_oracle_block_mins(f), threshold) == (expected, False)
+
+
+class TestHalvesRoute:
+    """The minimum from the halves' sums s[q] = nl(f1 + q) + nl(f2 + q)
+    against the oracles, and the three steps of threshold mode."""
+
+    def assert_matches(self, f: TruthTable, block_mins: list[int], exact: int) -> None:
+        assert min_coset_nonlinearity(f) == _oracle_threshold_min(block_mins, None) == (exact, True)
+        for offset in (-1, 0, 1, 2, 4):
+            threshold = exact + offset
+            assert min_coset_nonlinearity(f, threshold) == _oracle_threshold_min(block_mins, threshold)
+
+    @pytest.mark.parametrize("n, count", [(3, 8), (4, 8), (5, 4), (6, 3)])
+    def test_random_tables_against_both_oracles(self, rng, n, count):
+        for bits in random_tables(rng, count, n):
+            f = TruthTable(n, bits)
+            self.assert_matches(f, list(_oracle_block_mins(f)), brute_second_order_nl(bits, n))
+
+    @pytest.mark.parametrize("spec", ["random", "fun_4||fun_6"])
+    def test_n7_against_row_layout_oracle(self, rng, spec):
+        if spec == "random":
+            f = TruthTable(7, random_tables(rng, 1, 7)[0])
+        else:
+            f = concatenate(*map(catalog_function, spec.split("||")))
+        block_mins = list(_oracle_block_mins(f))
+        self.assert_matches(f, block_mins, min(block_mins))
+
+    def test_catalog_concatenations_against_direct_blocks(self):
+        # block minima of the direct n=7 scan, which the row-layout tests check
+        for i, j in ((4, 6), (6, 4), (4, 4), (1, 8), (2, 3), (12, 15)):
+            f = concatenate(catalog_function(f"fun_{i}"), catalog_function(f"fun_{j}"))
+            block_mins = coset_nonlinearities(f).reshape(-1, 2048).min(axis=1).tolist()
+            self.assert_matches(f, block_mins, min(block_mins))
+
+    def test_step3_scans_on_from_the_head_blocks(self, block_calls):
+        # STEP3_TABLE is the first fun_4||fun_6 + q_k, k drawn by default_rng(2024)
+        # from form_count(7), whose 16 head blocks hold no value below 35
+        f = TruthTable.from_hex(STEP3_TABLE)
+        assert min_coset_nonlinearity(f, 35) == (34, False)
+        # 16 head blocks, the halves, then blocks 16 .. 167 (the exit block), each once
+        assert Counter(block_calls) == {7: 168, 6: 32}
+
+    def test_step2_returns_exact_minimum_of_halves(self, block_calls):
+        f = concatenate(catalog_function("fun_4"), catalog_function("fun_6"))
+        assert min_coset_nonlinearity(f, 32) == (32, True)
+        assert Counter(block_calls) == {7: 16, 6: 32}
+
+    def test_exhaustive_n7_scans_only_the_halves(self, monkeypatch):
+        scans = Counter()
+        scan = quadratic._scan
+
+        def counting_scan(f, *args):
+            scans[f.n] += 1
+            return scan(f, *args)
+
+        monkeypatch.setattr(quadratic, "_scan", counting_scan)
+        f = concatenate(catalog_function("fun_4"), catalog_function("fun_6"))
+        assert min_coset_nonlinearity(f) == (32, True)
+        assert scans == {6: 2}
+
+    def test_fresh_halves_are_not_cached(self, rng):
+        quadratic.coset_values(catalog_function("fun_4"))
+        before = quadratic.coset_values.cache_info().currsize
+        f = TruthTable(7, random_tables(rng, 1, 7)[0])
+        min_coset_nonlinearity(f)
+        min_coset_nonlinearity(f, 0)
+        assert quadratic.coset_values.cache_info().currsize == before
 
 
 class TestRowLayoutOracle:
@@ -236,20 +330,6 @@ class TestProfiles:
             t = TruthTable(6, bits)
             parities = {r & 1 for r in nfh_profile(t).counts}
             assert parities == {weight(t) & 1}
-
-    @pytest.fixture
-    def block_calls(self, monkeypatch):
-        """Records one entry per block transform the scan makes."""
-        calls = []
-        block_nl = quadratic._block_nl
-
-        def counting(*args):
-            calls.append(None)
-            return block_nl(*args)
-
-        monkeypatch.setattr(quadratic, "_block_nl", counting)
-        quadratic.coset_values.cache_clear()  # a cached table is not transformed again
-        return calls
 
     def test_profile_reads_the_one_cached_scan(self, block_calls):
         f = catalog_function("fun_6")
