@@ -4,9 +4,11 @@ Candidates have the characterised shape fun_i1 || (fun_i2(Ax+b) + g)
 with i1, i2 in {4, 6}.  The six level-set inclusions (condition 2) act
 as a cheap filter; per the characterisation, a passing candidate must
 give exactly 42 (a covering-radius lower-bound witness) and a failing
-one at most 40.  The searcher exact-checks every pass and a 1-in-k
-sample of failures, and aborts with a dump if either implication ever
-breaks.
+one at most 40.  The filter scans no candidate: each half's coset
+values are fun_i2's cached ones permuted by the map A and the quadratic
+g.  The searcher exact-checks every pass and a 1-in-k sample of
+failures on the concatenation itself, and aborts with a dump if either
+implication ever breaks.
 """
 
 import json

@@ -29,26 +29,19 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 def is_invertible(matrix) -> bool:
-    """GF(2) rank test by Gaussian elimination."""
-    m = (np.array(matrix, dtype=np.uint8) & 1).copy()
+    """GF(2) rank test: row elimination on rows packed into ints, each
+    reduced by the rows kept so far until its leading bit is new."""
+    m = np.array(matrix, dtype=np.uint8) & 1
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    n = m.shape[0]
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, n):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
+    leading = {}  # bit length -> the reduced row that has it
+    for row in np.packbits(m, axis=1, bitorder="little").tolist():
+        r = int.from_bytes(bytes(row), "little")
+        while r and r.bit_length() in leading:
+            r ^= leading[r.bit_length()]
+        if not r:
             return False
-        if pivot != row:
-            m[[row, pivot]] = m[[pivot, row]]
-        for r in range(row + 1, n):
-            if m[r, col]:
-                m[r] ^= m[row]
-        row += 1
+        leading[r.bit_length()] = r
     return True
 
 

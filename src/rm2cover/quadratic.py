@@ -12,7 +12,9 @@ and the index sets at a fixed value are the level sets used in the
 concatenation-bound checks.  :func:`coset_values` is that one full scan
 per table: it caches the read-only array, and profiles, level sets, the
 maximum and the condition-2 inclusions all read it.  Minimum scans
-and ``coset_nonlinearities`` scan afresh.
+and ``coset_nonlinearities`` scan afresh.  A table in the affine orbit
+of f modulo degree 2, f(Ax + b) + q_k + l, needs no scan: its array is
+f's permuted by :func:`form_map`.
 
 The minimum at n >= 3 comes from the halves f = f1 || f2 on x_n = 0 and
 x_n = 1.  A homogeneous quadratic in n variables is q + x_n * l with q
@@ -105,6 +107,29 @@ class QuadraticForm:
 
     def truth_table(self) -> TruthTable:
         return truth_table_from_anf(self.anf())
+
+
+def form_map(matrix) -> np.ndarray:
+    """S_A[p]: the index of the homogeneous quadratic part of q_p(Ax + b).
+
+    Substituting x_i -> (row i of A) . x + b_i turns x_i x_j into
+    sum over k < l of (A_ik A_jl + A_il A_jk) x_k x_l plus affine terms,
+    so S_A is GF(2)-linear and does not depend on b; for invertible A it
+    is a permutation.  Since nl is invariant under affine maps and under
+    adding affine functions, a table h = f(Ax + b) + q_k + l has
+
+        coset values of h at S_A[p] ^ k = coset values of f at p.
+    """
+    a = np.asarray(matrix, dtype=np.uint8) & 1
+    n = len(a)
+    rows, cols = np.triu_indices(n, 1)  # variable pairs in index-bit order, 0-based
+    prod = a[rows][:, :, None] & a[cols][:, None, :]  # A_ik A_jl for every pair (i, j)
+    coeff = prod[:, rows, cols] ^ prod[:, cols, rows]
+    images = coeff.astype(np.int64) @ (1 << np.arange(len(rows), dtype=np.int64))
+    out = np.zeros(1 << len(rows), dtype=np.int64)
+    for p, image in enumerate(images):
+        out[1 << p : 2 << p] = out[: 1 << p] ^ image
+    return out
 
 
 def degree2_table(n: int, quad_index: int, linear_mask: int, constant: int = 0) -> TruthTable:

@@ -2,13 +2,26 @@
 search over the characterised family for value 42.
 
 The candidate family is ``fun_i1 || (fun_i2(Ax+b) + g)`` with
-``i1, i2 in {4, 6}``, A invertible, b arbitrary and g a homogeneous
-quadratic plus a linear part.  For each sampled candidate the six
-level-set inclusions (condition 2) act as a fast filter; a passing
-candidate is confirmed by the exact nl2 computation.  Per the
+``i1, i2 in {4, 6}``, A invertible, b arbitrary and g = q_k + l a
+homogeneous quadratic plus a linear part.  For each sampled candidate
+the six level-set inclusions (condition 2) act as a fast filter; a
+passing candidate is confirmed by the exact nl2 computation.  Per the
 characterisation, a pass must yield exactly 42 and a failure at most 40
 — any counterexample is refutation-grade and aborts the run with a full
 candidate dump.
+
+Condition 2 needs the coset-value array of each candidate half.  The
+half lies in fun_i2's affine orbit modulo degree 2, so its array is
+fun_i2's cached one permuted: index ``S_A[p] ^ k`` takes the value at
+p (:func:`quadratic.form_map`); b and l drop out.  No half is scanned.
+
+fun_4 and fun_6 take coset values in {16, 18, ..., 26}, so the six
+inclusions hold exactly when every q has vals1[q] + vals_half[q] >= 42,
+and the minimum of that sum is nl2 of the concatenation (the halves
+identity of :func:`quadratic.min_coset_nonlinearity`).  A
+:class:`FilterContradiction` therefore compares condition 2, computed
+from the permuted fun_i2 array, with the n = 7 kernel run on the
+concatenation actually built; it does not test the theorem itself.
 """
 
 from __future__ import annotations
@@ -162,6 +175,9 @@ def _candidate_half(i2: int, m: AffineMap, quad_index: int, linear_mask: int) ->
 def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] | None = None) -> SearchSummary:
     """Sample candidates, filter by condition 2, exact-check as configured.
 
+    Condition 2 compares fun_i1's cached coset values with the half's,
+    which are fun_i2's cached values permuted by the candidate's map and
+    q_k; only exact checks build the half's truth table.
     Deterministic for a fixed (seed, budget); thread count affects
     neither the candidate stream nor the records.  Condition-2 passes
     are always exact-checked; failures are cross-checked at the
@@ -176,12 +192,16 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
 
     f1 = catalog_function(f"fun_{cfg.i1}")
     vals1 = quadratic.coset_values(f1)
+    vals2 = quadratic.coset_values(catalog_function(f"fun_{cfg.i2}"))
 
     def evaluate(param) -> SearchRecord:
         k, m, quad_index, linear_mask = param
-        half = _candidate_half(cfg.i2, m, quad_index, linear_mask)
-        # candidate halves never repeat, so they bypass the cache
-        relations = condition2_relations(vals1, quadratic.coset_nonlinearities(half))
+        # the half fun_i2(Ax+b) + q_k + l has at S_A[p] ^ k the value of fun_i2 at p
+        target = quadratic.form_map(m.matrix)
+        target ^= quad_index
+        vals_half = np.empty_like(vals2)
+        vals_half[target] = vals2
+        relations = condition2_relations(vals1, vals_half)
         failed = [r for r in relations if not r["holds"]]
         return SearchRecord(k, m, quad_index, linear_mask, cond2_pass=not failed, failed_relations=failed)
 

@@ -8,6 +8,7 @@ layout, one row per coset, with its own sign tables and its own Walsh
 butterflies.  ``derivative_walsh_keys`` and ``third_derivative_weights``
 build the equivalence-search invariants by explicit gathers and a
 Hadamard matrix product, without the library's transform.
+``numpy_is_invertible`` is the earlier element-wise GF(2) elimination.
 """
 
 from __future__ import annotations
@@ -180,6 +181,31 @@ def brute_second_order_nl_batch(tables: np.ndarray, n: int) -> np.ndarray:
         d = (tables ^ c[None, :]).sum(axis=1, dtype=np.int64)
         np.minimum(best, d, out=best)
     return best
+
+
+def numpy_is_invertible(matrix) -> bool:
+    """GF(2) rank test by Gaussian elimination on a numpy bit array, one
+    element at a time."""
+    m = (np.array(matrix, dtype=np.uint8) & 1).copy()
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    n = m.shape[0]
+    row = 0
+    for col in range(n):
+        pivot = None
+        for r in range(row, n):
+            if m[r, col]:
+                pivot = r
+                break
+        if pivot is None:
+            return False
+        if pivot != row:
+            m[[row, pivot]] = m[[pivot, row]]
+        for r in range(row + 1, n):
+            if m[r, col]:
+                m[r] ^= m[row]
+        row += 1
+    return True
 
 
 def gl2_order_fraction(n: int) -> float:

@@ -29,7 +29,13 @@ from rm2cover.affine import (
 from rm2cover.catalog import catalog_names
 from rm2cover.claims import _random_degree2
 from rm2cover.quadratic import coset_values
-from oracles import derivative_walsh_keys, gl2_order_fraction, random_tables, third_derivative_weights
+from oracles import (
+    derivative_walsh_keys,
+    gl2_order_fraction,
+    numpy_is_invertible,
+    random_tables,
+    third_derivative_weights,
+)
 
 
 class TestInvertibility:
@@ -47,6 +53,29 @@ class TestInvertibility:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             is_invertible(np.zeros((2, 3), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            is_invertible(np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_small_matrix_matches_oracle(self, n):
+        codes = np.arange(1 << (n * n), dtype=np.uint32)
+        mats = ((codes[:, None] >> np.arange(n * n, dtype=np.uint32)) & 1).astype(np.uint8).reshape(-1, n, n)
+        got = [is_invertible(m) for m in mats]
+        assert got == [numpy_is_invertible(m) for m in mats]
+        assert sum(got) / len(got) == pytest.approx(gl2_order_fraction(n))  # exact: |GL(n,2)| / 2**(n*n)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_seeded_matrices_match_oracle(self, n):
+        rng = np.random.default_rng(700 + n)
+        mats = rng.integers(0, 2, size=(2000, n, n), dtype=np.uint8)
+        got = [is_invertible(m) for m in mats]
+        assert got == [numpy_is_invertible(m) for m in mats]
+        assert 0 < sum(got) < len(got)
+
+    def test_unreduced_entries_and_empty_matrix(self):
+        # entries are taken mod 2, as a uint8 array
+        for matrix in ([[3, 2], [0, 1]], np.zeros((0, 0), dtype=np.uint8)):
+            assert is_invertible(matrix) and numpy_is_invertible(matrix)
 
 
 class TestAffineMap:

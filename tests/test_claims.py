@@ -217,8 +217,9 @@ class TestSpotChecksAndFullRun:
 
     def test_verify_all_scans_each_table_once(self, monkeypatch):
         # a cold run scans the 23 catalog tables its claims read once each
-        # (fun_4 and fun_6 serve the witness search too) plus 4 candidate
-        # halves; a repeat run finds the 23 tables cached
+        # (fun_4 and fun_6 serve the witness search too, whose candidate
+        # halves permute fun_i2's array); a repeat run finds the 23 tables
+        # cached and runs only the n=7 threshold scans, which exit early
         from rm2cover import quadratic
 
         scans: Counter[int] = Counter()
@@ -235,7 +236,7 @@ class TestSpotChecksAndFullRun:
             verify_all(seed=11, trials=1, thm1_samples=4)
             per_call.append(dict(scans))
             scans.clear()
-        assert per_call == [{6: 27, 7: 10}, {6: 4, 7: 10}]
+        assert per_call == [{6: 23, 7: 10}, {7: 10}]
         assert coset_values.cache_info().misses == 23
 
     def test_verify_all_rerun_determinism(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -7,6 +8,7 @@ from rm2cover.cli import run
 
 GOLDEN_FUN3_CSV = "r,count\n16,448\n20,16128\n24,16128\n28,64\n"
 FUN4_FUN6 = "6820ea8042a0c00062480888eac08000"  # fun_4 || fun_6
+SEARCH_4_6_SEED1_SHA256 = "7f5c51f011d12b146bea88eb9a233015eea2117250f864ffa1ba06b940f3e3e8"
 
 
 def invoke(capsys, *argv):
@@ -128,6 +130,13 @@ class TestSearchCommand:
         assert code == 2 and "Traceback" not in err
         dump = json.loads(target.read_text().splitlines()[-1])
         assert dump["nl2_value"] == 43 and dump["nl2_exact"] is True
+
+    def test_search_stdout_pinned(self, capsys):
+        # SHA-256 of the 20 JSONL records and the summary, recorded when each
+        # candidate half was still scanned directly
+        code, out, err = invoke(capsys, "search", "--i1", "4", "--i2", "6", "--seed", "1", "--budget", "20")
+        assert code == 0 and err == "search i1=4 i2=6 seed=1 budget=20\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_4_6_SEED1_SHA256
 
     def test_search_deterministic_output(self, capsys, tmp_path):
         a = tmp_path / "a.jsonl"

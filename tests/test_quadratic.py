@@ -8,6 +8,7 @@ from rm2cover import (
     AnfPolynomial,
     QuadraticForm,
     TruthTable,
+    anf_from_truth_table,
     catalog_function,
     concatenate,
     coset_nonlinearities,
@@ -20,7 +21,7 @@ from rm2cover import (
     second_order_nonlinearity,
     truth_table_from_anf,
 )
-from rm2cover.affine import apply_affine, random_affine_map
+from rm2cover.affine import apply_affine, random_affine_map, sample_affine_map
 from rm2cover.cli import resolve_function
 from rm2cover import quadratic
 from rm2cover.catalog import catalog_names
@@ -293,6 +294,65 @@ class TestRowLayoutOracle:
             for lo in starts:
                 expected = row_layout_coset_nl(f.bits, 7, lo, lo + block)
                 assert np.array_equal(coset_nonlinearities(f, lo, lo + block), expected)
+
+
+def _permuted_values(vals: np.ndarray, matrix, quad_index: int) -> np.ndarray:
+    """Coset values of f(Ax+b) + q_k + l from those of f: index S_A[p] ^ k
+    takes the value at p."""
+    out = np.empty_like(vals)
+    out[quadratic.form_map(matrix) ^ quad_index] = vals
+    return out
+
+
+class TestFormMap:
+    """S_A, the quadratic-part map of x -> Ax + b, and the coset values it permutes."""
+
+    @pytest.mark.parametrize("i2", [4, 6])
+    def test_catalog_half_values_match_direct_scan(self, i2):
+        f = catalog_function(f"fun_{i2}")
+        vals = coset_nonlinearities(f)
+        rng = np.random.default_rng(1000 + i2)
+        for _ in range(50):
+            m = sample_affine_map(6, rng)
+            k, l = int(rng.integers(0, form_count(6))), int(rng.integers(0, 64))
+            half = apply_affine(f, m) ^ quadratic.degree2_table(6, k, l)
+            assert np.array_equal(_permuted_values(vals, m.matrix, k), coset_nonlinearities(half))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_table_values_match_direct_scan(self, n):
+        rng = np.random.default_rng(2000 + n)
+        for bits in random_tables(rng, 6, n):
+            f = TruthTable(n, bits)
+            m = sample_affine_map(n, rng)
+            k, l = int(rng.integers(0, form_count(n))), int(rng.integers(0, 1 << n))
+            half = apply_affine(f, m) ^ quadratic.degree2_table(n, k, l)
+            assert np.array_equal(_permuted_values(coset_nonlinearities(f), m.matrix, k), coset_nonlinearities(half))
+
+    def test_row_layout_oracle_case(self):
+        # no transform of the library: both arrays come from the row-layout kernel
+        f = catalog_function("fun_6")
+        m = random_affine_map(6, seed=61)
+        k, l = 12345, 0b101101
+        half = apply_affine(f, m) ^ quadratic.degree2_table(6, k, l)
+        vals = row_layout_coset_nl(f.bits, 6, 0, form_count(6))
+        assert np.array_equal(_permuted_values(vals, m.matrix, k), row_layout_coset_nl(half.bits, 6, 0, form_count(6)))
+
+    def test_images_are_quadratic_parts_of_substituted_forms(self):
+        # S_A[p] read off the ANF of q_p(Ax + b), for every p at n = 4
+        for seed in range(4):
+            m = random_affine_map(4, seed=seed)
+            s_a = quadratic.form_map(m.matrix)
+            for p in range(form_count(4)):
+                anf = anf_from_truth_table(apply_affine(QuadraticForm(4, p).truth_table(), m))
+                pairs = [tuple(sorted(mono)) for mono in anf.monomials if len(mono) == 2]
+                assert max(map(len, anf.monomials), default=0) <= 2
+                assert s_a[p] == QuadraticForm.from_pairs(4, pairs).index
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_permutation_and_identity(self, n):
+        assert np.array_equal(quadratic.form_map(np.eye(n, dtype=np.uint8)), np.arange(form_count(n)))
+        s_a = quadratic.form_map(random_affine_map(n, seed=n).matrix)
+        assert np.array_equal(np.sort(s_a), np.arange(form_count(n)))
 
 
 class TestProfiles:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +15,20 @@ from rm2cover import (
 )
 from rm2cover.quadratic import QuadraticForm, form_count
 from rm2cover.search import DEFAULT_THRESHOLD
+
+# SHA-256 of the canonical summary-plus-records JSON of witness_search at
+# budget 20 with every candidate exact-checked, keyed by (i1, i2, seed);
+# recorded when each candidate half was still scanned directly
+RECORD_STREAM_DIGESTS = {
+    (4, 4, 1): "cff10b89e76d0de82f026dd3e09306bd94252856906624a8c5aca8a1dab30fe8",
+    (4, 4, 2): "a840e43717b23850835b6d519bcbcccefc142bbced44a8000427998e77425b92",
+    (4, 6, 1): "747147f50ff4dcfa681fc31bd349c3457620cf36f726851699453a1e4bf6b9d8",
+    (4, 6, 2): "2c262f2326e202c8a8ed204db4599d9d17304a17d4bc8d2f24eef02fab0322df",
+    (6, 4, 1): "01b5575326346fe3ace9240428a1c29c18ab64b0f40d6cb2a29d8d53dec20475",
+    (6, 4, 2): "e197542e234db4af4bf870c2521edbaa5f18685a192fec0a47bdfd967d6e7a57",
+    (6, 6, 1): "96cdef5d4710950a31a822bb55174b925ed10d9b44f10dbdf9627d3691e4eeac",
+    (6, 6, 2): "f1ee5bbbe65c1a6af1fa4d640616b84daa36fd11aaada7fffa9c545f8b6f246e",
+}
 
 
 class TestExactKernel:
@@ -61,6 +77,16 @@ class TestConfig:
 
 
 class TestWitnessSearch:
+    @pytest.mark.parametrize("i1, i2, seed", sorted(RECORD_STREAM_DIGESTS))
+    def test_record_stream_digest(self, i1, i2, seed):
+        records = []
+        summary = witness_search(
+            SearchConfig(i1=i1, i2=i2, seed=seed, budget=20, fail_check_rate=1), on_record=records.append
+        )
+        canonical = {"summary": summary.as_json_dict(), "records": [r.as_json_dict() for r in records]}
+        text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == RECORD_STREAM_DIGESTS[(i1, i2, seed)]
+
     def test_deterministic_record_stream(self):
         def run():
             records = []
@@ -111,6 +137,26 @@ class TestWitnessSearch:
         for seed in (1, 2):
             witness_search(SearchConfig(i1=4, i2=6, seed=seed, budget=1))
         assert scanned.count(f4) == 1
+
+    def test_candidate_halves_are_not_scanned(self, monkeypatch):
+        # with fun_i1 and fun_i2 cached, condition 2 permutes fun_i2's array:
+        # the one n=7 scan is the exact check of the first failure, which
+        # exits in its head blocks
+        from rm2cover import quadratic
+
+        quadratic.coset_values(catalog_function("fun_4"))
+        quadratic.coset_values(catalog_function("fun_6"))
+        scans = Counter()
+        scan = quadratic._scan
+
+        def counting_scan(f, *args):
+            scans[f.n] += 1
+            return scan(f, *args)
+
+        monkeypatch.setattr(quadratic, "_scan", counting_scan)
+        summary = witness_search(SearchConfig(i1=4, i2=6, seed=1, budget=20))
+        assert summary.candidates == 20 and summary.exact_checked == 1
+        assert scans == {7: 1}
 
     def test_records_carry_full_candidate(self):
         records = []
