@@ -7,13 +7,16 @@ some g of degree <= 2.  The search enumerates candidate column images of
 A with backtracking.  It prunes with invariants that this equivalence
 preserves direction for direction: the squared Walsh spectrum of each
 derivative D_a f and the weights of all third derivatives D_a D_b D_c f.
-Both come from batched Walsh transforms of the second-derivative signs
-through the Wiener-Khinchin identity (spectrum squared = transform of
-the autocorrelation).
+Both come from Walsh transforms of the whole ``[x, a, b]`` tensor of
+second-derivative signs (512 KB at n = 6) through the Wiener-Khinchin
+identity (spectrum squared = transform of the autocorrelation).  One
+recursive generator yields the verified witnesses in a fixed order, and
+the search keeps the first.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,19 +100,10 @@ def apply_affine(f: TruthTable, m: AffineMap) -> TruthTable:
     """Pointwise composition g(x) = f(Ax + b)."""
     if m.n != f.n:
         raise ValueError(f"variable count mismatch: map n={m.n}, table n={f.n}")
-    return TruthTable(f.n, f.bits[_target_indices(m.matrix, m.offset)])
-
-
-def _target_indices(matrix: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Table index of Ax + b for every table index x, as uint32."""
-    n = len(offset)
-    idx = np.arange(1 << n, dtype=np.uint32)
-    x = np.empty((1 << n, n), dtype=np.uint8)
-    for v in range(n):
-        x[:, v] = (idx >> v) & 1
-    y = (x @ matrix.T + offset) & 1
-    weights = (1 << np.arange(n)).astype(np.uint32)
-    return (y.astype(np.uint32) @ weights).astype(np.uint32)
+    bit = np.arange(f.n)
+    x = (np.arange(1 << f.n)[:, None] >> bit) & 1  # x[i, v]: bit v of table index i
+    y = (x @ m.matrix.T + m.offset) & 1
+    return TruthTable(f.n, f.bits[y @ (1 << bit)])
 
 
 @dataclass(frozen=True)
@@ -163,42 +157,23 @@ def _derivative_invariants(f: TruthTable) -> tuple[np.ndarray, np.ndarray]:
     xor = idx[:, None] ^ idx
     s = 1 - 2 * f.bits.astype(np.int16)
     d = s[:, None] * s[xor]  # d[x, a]: sign of D_a f(x)
-    w2 = np.empty((size, size), dtype=np.int16)
-    t = np.empty((size, size, size), dtype=np.uint8)
-    # 8 directions per step keep each temporary at 64 KB for n = 6
-    for lo in range(0, size, 8):
-        a = idx[lo : lo + 8]
-        g = d[:, a, None] * d[xor[:, None, :], a[None, :, None]]
-        fwht_rows(g)
-        spec = np.ascontiguousarray(g[0].T)
-        fwht_rows(spec)
-        w2[a] = spec.T
-        g *= g
-        fwht_rows(g)
-        np.subtract(size * size, g, out=g)
-        g >>= n + 1
-        t[:, a] = g
-    w2.sort(axis=1)
-    return w2, t
+    g = d[:, :, None] * d[xor[:, None, :], idx[:, None]]  # g[x, a, b]: sign of D_a D_b f(x)
+    fwht_rows(g)
+    spec = np.ascontiguousarray(g[0].T)
+    fwht_rows(spec)
+    g *= g
+    fwht_rows(g)
+    np.subtract(size * size, g, out=g)
+    g >>= n + 1
+    return np.sort(spec.T, axis=1), g.astype(np.uint8)
 
 
-def _shared_labels(blocks1, blocks2) -> tuple[np.ndarray, np.ndarray]:
-    """Integer labels for the rows of two sequences of 2-D blocks of one
-    dtype: equal rows, on either side, share a label.  Each block is
-    ranked on its own, so no temporary outgrows a block."""
-    sides = [
-        [np.unique(b.view(f"V{b.itemsize * b.shape[1]}").ravel(), return_inverse=True) for b in blocks]
-        for blocks in (blocks1, blocks2)
-    ]
-    keys = np.unique(np.concatenate([k for side in sides for k, _ in side]))
-    labels1, labels2 = (np.concatenate([np.searchsorted(keys, k)[inv] for k, inv in side]) for side in sides)
-    return labels1, labels2
-
-
-def _sorted_rows(t: np.ndarray):
-    """The rows ``t[a, b]``, each sorted, 8 values of a at a time."""
-    for lo in range(0, len(t), 8):
-        yield np.sort(t[lo : lo + 8], axis=2).reshape(-1, len(t))
+def _shared_labels(rows1: np.ndarray, rows2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer labels for the rows of two 2-D arrays of one dtype: equal
+    rows, on either side, share a label."""
+    rows = np.concatenate([rows1, rows2])
+    _, labels = np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(), return_inverse=True)
+    return labels[: len(rows1)], labels[len(rows1) :]
 
 
 def _direction_rows(w2: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -221,8 +196,9 @@ def equivalence_search(
     Returns FOUND with a verified witness, NOT_FOUND only when the
     pruned backtracking was exhausted (or an equivalence invariant
     already differs), and BUDGET_EXHAUSTED when the node budget ran out
-    first.  Backtracking order is deterministic: ascending column index,
-    ascending candidate value, ascending translation.
+    first.  One recursive generator yields every verified witness in a
+    fixed order (ascending column index, ascending candidate value,
+    ascending translation), and the search returns the first.
     """
     if f1.n != f2.n:
         raise ValueError(f"variable count mismatch: {f1.n} vs {f2.n}")
@@ -255,9 +231,10 @@ def equivalence_search(
     # marginals (the remaining arguments range over everything, so a
     # witness bijection preserves these histograms); a sorted row of t
     # stands for its histogram
-    cls1, cls2 = _shared_labels([_direction_rows(w1, t1)], [_direction_rows(w2, t2)])
+    cls1, cls2 = _shared_labels(_direction_rows(w1, t1), _direction_rows(w2, t2))
     pair1, pair2 = (
-        labels.reshape(size, size) for labels in _shared_labels(_sorted_rows(t1), _sorted_rows(t2))
+        labels.reshape(size, size)
+        for labels in _shared_labels(*(np.sort(t, axis=2).reshape(-1, size) for t in (t1, t2)))
     )
     if sorted(cls1[1:].tolist()) != sorted(cls2[1:].tolist()):
         return EquivalenceResult(NOT_FOUND, None, 0, reason="derivative-class multiset mismatch")
@@ -269,11 +246,10 @@ def equivalence_search(
     for a in range(1, size):
         candidates_by_class.setdefault(int(cls1[a]), []).append(a)
 
-    zeros = np.zeros(n, dtype=np.uint8)
     deep = np.array([a.bit_count() > 2 for a in range(size)])  # monomials of degree >= 3
+    bit = np.arange(n)
 
     nodes = 0
-    columns: list[int] = []
 
     def bump() -> None:
         nonlocal nodes
@@ -281,31 +257,25 @@ def equivalence_search(
         if nodes > budget:
             raise _BudgetExceeded
 
-    def try_translations() -> EquivalenceWitness | None:
-        a = np.zeros((n, n), dtype=np.uint8)
-        for i, c in enumerate(columns):
-            for j in range(n):
-                a[j, i] = (c >> j) & 1
-        base = _target_indices(a, zeros)
-        for b_int in range(size):
-            bump()
-            diff = f1.bits[base ^ np.uint32(b_int)] ^ f2.bits
-            if not _moebius(diff)[deep].any():
-                b_vec = np.array([(b_int >> j) & 1 for j in range(n)], dtype=np.uint8)
-                g = anf_from_truth_table(TruthTable(n, diff))
-                witness = EquivalenceWitness(AffineMap(n, a, b_vec), g)
-                if witness.substitute(f1) != f2:
-                    raise RuntimeError(f"equivalence witness fails its own check: {witness.as_json_dict()}")
-                return witness
-        return None
-
-    def extend(depth: int, img: np.ndarray) -> EquivalenceWitness | None:
+    def witnesses(depth: int, img: np.ndarray) -> Iterator[EquivalenceWitness]:
         # img[j] is the image of direction j < 2**depth; directions
         # 2**depth + j map to img[j] ^ cand.  pair and t are symmetric,
         # so matching the new rows against every direction so far
         # checks every constraint among the first 2**(depth+1) directions
         if depth == n:
-            return try_translations()
+            # img is x -> Ax, whose column i is img[2**i]
+            for b in range(size):
+                bump()
+                diff = f1.bits[img ^ b] ^ f2.bits
+                if _moebius(diff)[deep].any():
+                    continue
+                a = (img[1 << bit] >> bit[:, None]) & 1
+                g = anf_from_truth_table(TruthTable(n, diff))
+                witness = EquivalenceWitness(AffineMap(n, a, (b >> bit) & 1), g)
+                if witness.substitute(f1) != f2:
+                    raise RuntimeError(f"equivalence witness fails its own check: {witness.as_json_dict()}")
+                yield witness
+            return
         new = slice(1 << depth, 2 << depth)
         full = slice(0, 2 << depth)
         cls_new, pair_new, cube_new = cls2[new], pair2[new, full], t2[new, full, full]
@@ -321,21 +291,16 @@ def equivalence_search(
                 continue
             if not np.array_equal(t1[np.ix_(img_new, img_full, img_full)], cube_new):
                 continue
-            columns.append(cand)
-            result = extend(depth + 1, img_full)
-            if result is not None:
-                return result
-            columns.pop()
-        return None
+            yield from witnesses(depth + 1, img_full)
 
     try:
-        witness = extend(0, np.zeros(1, dtype=np.intp))
+        witness = next(witnesses(0, np.zeros(1, dtype=np.intp)), None)
     except _BudgetExceeded:
         return EquivalenceResult(BUDGET_EXHAUSTED, None, nodes)
     finally:
-        # extend refers to itself, a reference cycle that would keep t1
-        # and t2 alive until the next cyclic garbage collection
-        del extend
+        # witnesses refers to itself, a reference cycle that would keep
+        # t1 and t2 alive until the next cyclic garbage collection
+        del witnesses
     if witness is None:
         return EquivalenceResult(NOT_FOUND, None, nodes)
     return EquivalenceResult(FOUND, witness, nodes)

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -18,12 +19,14 @@ from rm2cover import (
     truth_table_from_anf,
     weight,
 )
+from rm2cover import affine
 from rm2cover.affine import (
     BUDGET_EXHAUSTED,
     DEFAULT_SEARCH_BUDGET,
     FOUND,
     NOT_FOUND,
     _derivative_invariants,
+    _shared_labels,
     sample_affine_map,
 )
 from rm2cover.catalog import catalog_names
@@ -230,9 +233,10 @@ def _budget_target():
 
 # name: (inputs, budget, (status, reason, nodes, witness)), the expected
 # tuple recorded with the gather-based invariants and five block checks
-# per depth.  The remaining routes (derivative classes, pair classes, an
-# exhausted search) are reached by no catalog pair, coset member or
-# sampled table tried.
+# per depth.  An exhausted search is reached only with a patched Moebius
+# transform (test_search_exhausted).  The two class multiset checks
+# (derivative classes, pair classes) are reached by no catalog pair,
+# coset member or sampled table tried.
 PINNED = {
     "degree": (
         lambda: (catalog_function("fun_1"), catalog_function("fun_4")),
@@ -292,6 +296,41 @@ def test_search_pinned(case):
     result = equivalence_search(*inputs(), budget=budget)
     witness = None if result.witness is None else result.witness.as_json_dict()
     assert (result.status, result.reason, result.nodes, witness) == expected
+
+
+def test_search_exhausted(monkeypatch):
+    # no translation passes, so the backtracking runs to its end
+    monkeypatch.setattr(affine, "_moebius", lambda bits: np.ones(len(bits), dtype=np.uint8))
+    result = equivalence_search(_table(4, 0), _table(4, 0))
+    assert (result.status, result.reason, result.nodes, result.witness) == (NOT_FOUND, None, 24892, None)
+
+
+def test_found_search_leaves_no_reference_cycle():
+    # a cycle through the recursive search closure would keep the
+    # derivative tensors alive until the next cyclic collection
+    f = catalog_function("fun_4")
+    target = _member(f, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        assert equivalence_search(f, target).status == FOUND
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_shared_labels_match_row_equality(dtype):
+    rng = np.random.default_rng(12)
+    pool = rng.integers(0, 3, size=(12, 4)).astype(dtype)
+    rows1 = pool[rng.integers(0, 8, 40)]  # pool rows 4..7 may land on both sides
+    rows2 = pool[rng.integers(4, 12, 30)]
+    labels1, labels2 = _shared_labels(rows1, rows2)
+    shared = set(labels1.tolist()) & set(labels2.tolist())
+    assert shared and set(labels1.tolist()) - shared and set(labels2.tolist()) - shared
+    rows = np.concatenate([rows1, rows2])
+    labels = np.concatenate([labels1, labels2])
+    assert np.array_equal(labels[:, None] == labels, (rows[:, None] == rows).all(axis=2))
 
 
 def test_fresh_target_not_cached():
