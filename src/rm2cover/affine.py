@@ -31,6 +31,13 @@ NOT_FOUND = "not-found"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 
+def _packed_rows(m: np.ndarray) -> Iterator[int]:
+    """The rows of a 2-D 0/1 array as ints, entry j at bit j (variable
+    j+1 -> weight 2**j), converted one row at a time."""
+    for row in np.packbits(m, axis=1, bitorder="little").tolist():
+        yield int.from_bytes(bytes(row), "little")
+
+
 def is_invertible(matrix) -> bool:
     """GF(2) rank test: row elimination on rows packed into ints, each
     reduced by the rows kept so far until its leading bit is new."""
@@ -38,8 +45,7 @@ def is_invertible(matrix) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     leading = {}  # bit length -> the reduced row that has it
-    for row in np.packbits(m, axis=1, bitorder="little").tolist():
-        r = int.from_bytes(bytes(row), "little")
+    for r in _packed_rows(m):
         while r and r.bit_length() in leading:
             r ^= leading[r.bit_length()]
         if not r:
@@ -76,9 +82,7 @@ class AffineMap:
         return bool(np.array_equal(self.matrix, np.eye(self.n, dtype=np.uint8)) and not self.offset.any())
 
     def as_json_dict(self) -> dict:
-        # row i packs A[i, j] at bit j (variable j+1 -> weight 2**j)
-        rows = [format(int(sum(int(v) << j for j, v in enumerate(row))), "x") for row in self.matrix]
-        b = format(int(sum(int(v) << j for j, v in enumerate(self.offset))), "x")
+        *rows, b = (format(r, "x") for r in _packed_rows(np.vstack([self.matrix, self.offset])))
         return {"A": rows, "b": b}
 
 
@@ -181,11 +185,6 @@ def _direction_rows(w2: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.hstack([w2, [np.bincount(plane.ravel(), minlength=len(t) + 1) for plane in t]])
 
 
-def _high_degree_part(f: TruthTable) -> AnfPolynomial:
-    anf = anf_from_truth_table(f)
-    return AnfPolynomial(f.n, frozenset(m for m in anf.monomials if len(m) >= 3))
-
-
 def equivalence_search(
     f1: TruthTable,
     f2: TruthTable,
@@ -204,14 +203,17 @@ def equivalence_search(
         raise ValueError(f"variable count mismatch: {f1.n} vs {f2.n}")
     if f1.n >= MAX_VARS:
         raise ValueError("equivalence search supports n <= 6")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     n = f1.n
     size = 1 << n
 
-    h1 = _high_degree_part(f1)
-    h2 = _high_degree_part(f2)
-    if h1.degree != h2.degree:
+    popcount = np.array([a.bit_count() for a in range(size)])
+    deep = popcount > 2  # monomials of degree >= 3
+    degree1, degree2 = ((popcount * _moebius(f.bits))[deep].max(initial=0) for f in (f1, f2))
+    if degree1 != degree2:
         return EquivalenceResult(NOT_FOUND, None, 0, reason="degree mismatch of the degree->=3 part")
-    if not h1.monomials:
+    if not degree1:
         # both functions are within degree 2 of each other
         witness = EquivalenceWitness(AffineMap.identity(n), anf_from_truth_table(f1 ^ f2))
         return EquivalenceResult(FOUND, witness, 0)
@@ -246,7 +248,6 @@ def equivalence_search(
     for a in range(1, size):
         candidates_by_class.setdefault(int(cls1[a]), []).append(a)
 
-    deep = np.array([a.bit_count() > 2 for a in range(size)])  # monomials of degree >= 3
     bit = np.arange(n)
 
     nodes = 0

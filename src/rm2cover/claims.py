@@ -23,6 +23,7 @@ values so a report is auditable without rerunning.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +84,9 @@ STATED_PROFILES: dict[str, tuple[str, dict[int, int], str | None]] = {
 }
 
 # the one registry entry that contradicts the sum identity on its own:
-# claim id -> (r, printed value)
-SELF_INCONSISTENT_ENTRIES: dict[str, tuple[int, int]] = {
-    "obs5.fun_4.profile": (26, 10244),
+# claim id -> r (the printed value is the one in STATED_PROFILES)
+SELF_INCONSISTENT_ENTRIES: dict[str, int] = {
+    "obs5.fun_4.profile": 26,
 }
 
 OBS1_BOUND = 22
@@ -109,20 +110,9 @@ class ClaimResult:
     details: dict = field(default_factory=dict)
 
     def as_json_dict(self) -> dict:
-        return {"claim_id": self.claim_id, "status": self.status, "details": _plain(self.details)}
-
-
-def _plain(value):
-    """Recursively convert numpy scalars/arrays for JSON serialisation."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
+        # details hold plain Python values; the round trip turns int keys
+        # into strings, as the JSON report has them
+        return {"claim_id": self.claim_id, "status": self.status, "details": json.loads(json.dumps(self.details))}
 
 
 def summarize(results: list[ClaimResult]) -> dict[str, int]:
@@ -146,13 +136,17 @@ def worst_exit_code(results: list[ClaimResult]) -> int:
 # observation / remark claims
 
 
+def _profile(name: str) -> quadratic.NlProfile:
+    return quadratic.nfh_profile(catalog_function(name))
+
+
 def verify_observation_1() -> ClaimResult:
     """max over quadratics q of nl(fun_1 + q) stays <= 22.
 
     Affine parts cannot raise nl, so homogeneous forms cover the whole
     degree-2 coset family.
     """
-    computed = quadratic.nfh_profile(catalog_function("fun_1")).max_r
+    computed = _profile("fun_1").max_r
     status = CONFIRMED if computed <= OBS1_BOUND else REFUTED
     return ClaimResult(
         "obs1.fun_1.max-nl",
@@ -165,7 +159,7 @@ def verify_nl2_values() -> list[ClaimResult]:
     """Representative direction of the nl2 classification statements."""
     results = []
     for claim_id, name, stated in STATED_NL2:
-        computed = quadratic.nfh_profile(catalog_function(name)).min_r
+        computed = _profile(name).min_r
         status = CONFIRMED if computed == stated else REFUTED
         results.append(ClaimResult(claim_id, status, {"function": name, "stated": stated, "computed": computed}))
     for claim_id, text in ONLY_IF_CLAIMS:
@@ -176,27 +170,19 @@ def verify_nl2_values() -> list[ClaimResult]:
 def verify_profile_claims() -> list[ClaimResult]:
     """Recompute full coset profiles and compare every stated entry."""
     results = []
-    for claim_id in STATED_PROFILES:
-        name, stated, tail = STATED_PROFILES[claim_id]
-        profile = quadratic.nfh_profile(catalog_function(name))
-        entries = {}
-        mismatches = []
-        special = SELF_INCONSISTENT_ENTRIES.get(claim_id)
+    for claim_id, (name, stated, tail) in STATED_PROFILES.items():
+        profile = _profile(name)
+        entries = {r: {"stated": c, "computed": profile.count(r)} for r, c in stated.items()}
+        mismatches = [r for r, entry in entries.items() if entry["computed"] != entry["stated"]]
         discrepancy = None
-        for r, stated_count in stated.items():
-            computed = profile.count(r)
-            entries[r] = {"stated": stated_count, "computed": computed}
-            if special and r == special[0]:
-                forced = quadratic.form_count(profile.n) - sum(
-                    c for rr, c in stated.items() if rr != r
-                )
-                entries[r]["forced_by_sum_identity"] = forced
-                if computed == forced != stated_count:
-                    discrepancy = r
-                elif computed != stated_count:
-                    mismatches.append(r)
-            elif computed != stated_count:
-                mismatches.append(r)
+        r = SELF_INCONSISTENT_ENTRIES.get(claim_id)
+        if r is not None:
+            forced = quadratic.form_count(profile.n) - sum(c for rr, c in stated.items() if rr != r)
+            entries[r]["forced_by_sum_identity"] = forced
+            if entries[r]["computed"] == forced != stated[r]:
+                # the printed value, not the computation, breaks the identity
+                mismatches.remove(r)
+                discrepancy = r
         tail_violations = []
         if tail is not None:
             bound = 26
@@ -245,7 +231,7 @@ def verify_remark_1() -> list[ClaimResult]:
     ]
     # representative-level: no bent function in the nl2=14 coset families
     # (a bent member would force a nonzero profile entry at 28)
-    counts28 = {f"fun_{i}": quadratic.nfh_profile(catalog_function(f"fun_{i}")).count(28) for i in range(9, 19)}
+    counts28 = {f"fun_{i}": _profile(f"fun_{i}").count(28) for i in range(9, 19)}
     results.append(
         ClaimResult(
             "remark1.no-bent-at-14",
@@ -255,9 +241,9 @@ def verify_remark_1() -> list[ClaimResult]:
     )
     # representative-level: bent functions reach nl2 = 16 (fun_3 family has
     # profile entries at 28) and none exist in the 17/18 families
-    e18 = quadratic.nfh_profile(catalog_function("fun_1")).count(28)
-    e17 = quadratic.nfh_profile(catalog_function("fun_2")).count(28)
-    e16 = quadratic.nfh_profile(catalog_function("fun_3")).count(28)
+    e18 = _profile("fun_1").count(28)
+    e17 = _profile("fun_2").count(28)
+    e16 = _profile("fun_3").count(28)
     ok = e18 == 0 and e17 == 0 and e16 > 0
     results.append(
         ClaimResult(
@@ -336,6 +322,11 @@ def _random_coset_member(name: str, rng: np.random.Generator) -> TruthTable:
     return affine.apply_affine(f, m) ^ _random_degree2(f.n, rng)
 
 
+def _pool_member(pool: tuple[str, ...]):
+    """A draw of a random coset member of a random function in ``pool``."""
+    return lambda rng: _random_coset_member(str(rng.choice(pool)), rng)
+
+
 def proposition_spot_checks(seed: int = DEFAULT_SEED, trials: int = 100) -> list[ClaimResult]:
     """Randomized instance checks of the three concatenation propositions.
 
@@ -351,26 +342,22 @@ def proposition_spot_checks(seed: int = DEFAULT_SEED, trials: int = 100) -> list
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+    # claim id, early-exit threshold, bound, and the draws of the two
+    # halves, made in this order (f1 then f2) for every trial
     specs = (
-        ("prop1.spot", 41, "<= 40"),
-        ("prop2.spot", 43, "<= 42"),
-        ("prop3.spot", 42, "<= 41"),
+        ("prop1.spot", 41, "<= 40", lambda rng: _random_coset_member("fun_1", rng),
+         lambda rng: TruthTable(6, rng.integers(0, 2, size=64, dtype=np.uint8))),
+        ("prop2.spot", 43, "<= 42", _pool_member(POOL_NL2_16), _pool_member(POOL_NL2_16)),
+        ("prop3.spot", 42, "<= 41", _pool_member(POOL_NL2_16), _pool_member(POOL_NL2_LE15)),
     )
     results = []
-    for claim_id, threshold, bound_text in specs:
+    for claim_id, threshold, bound_text, draw1, draw2 in specs:
         bound = threshold - 1
         violations = []
         max_exact = None
         for t in range(trials):
-            if claim_id == "prop1.spot":
-                f1 = _random_coset_member("fun_1", rng)
-                f2 = TruthTable(6, rng.integers(0, 2, size=64, dtype=np.uint8))
-            elif claim_id == "prop2.spot":
-                f1 = _random_coset_member(str(rng.choice(POOL_NL2_16)), rng)
-                f2 = _random_coset_member(str(rng.choice(POOL_NL2_16)), rng)
-            else:
-                f1 = _random_coset_member(str(rng.choice(POOL_NL2_16)), rng)
-                f2 = _random_coset_member(str(rng.choice(POOL_NL2_LE15)), rng)
+            f1 = draw1(rng)
+            f2 = draw2(rng)
             value, exact = quadratic.min_coset_nonlinearity(concatenate(f1, f2), threshold=threshold)
             if exact:
                 max_exact = value if max_exact is None else max(max_exact, value)
@@ -396,8 +383,8 @@ def proposition_spot_checks(seed: int = DEFAULT_SEED, trials: int = 100) -> list
 # full run
 
 
-def _default_lemma2_instances() -> list[tuple[str, str]]:
-    return [("fun_3", "fun_3"), ("fun_4", "fun_3"), ("fun_6", "fun_6")]
+# catalog pairs whose best hypothesis-true lemma2 instance verify_all checks
+_LEMMA2_PAIRS = (("fun_3", "fun_3"), ("fun_4", "fun_3"), ("fun_6", "fun_6"))
 
 
 def verify_all(seed: int = DEFAULT_SEED, trials: int = 3, thm1_samples: int = 4) -> list[ClaimResult]:
@@ -406,7 +393,9 @@ def verify_all(seed: int = DEFAULT_SEED, trials: int = 3, thm1_samples: int = 4)
     ``trials`` scales the randomized proposition checks and
     ``thm1_samples`` the sampled biconditional check; both default to
     small values suitable for an interactive run.  Both must be at least
-    1: a check over no instances would confirm nothing.
+    1: a check over no instances would confirm nothing.  Each of the four
+    (i1, i2) families gets ``max(1, thm1_samples // 4)`` candidates, so
+    the sample count is rounded down to a multiple of 4, at least 4.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -419,15 +408,11 @@ def verify_all(seed: int = DEFAULT_SEED, trials: int = 3, thm1_samples: int = 4)
     results.extend(verify_profile_claims())
     results.extend(verify_remark_1())
 
-    for name1, name2 in _default_lemma2_instances():
+    for name1, name2 in _LEMMA2_PAIRS:
         f1 = catalog_function(name1)
         f2 = catalog_function(name2)
-        instances = lemma2_instances(f1, f2)
-        if not instances:
-            results.append(ClaimResult(f"lemma2.{name1}.{name2}", SKIPPED, {"reason": "no hypothesis-true pair"}))
-        else:
-            n1, n2 = min(instances, key=sum)
-            results.append(lemma2_conclusion_check(f1, f2, n1, n2, label=f"{name1}.{name2}"))
+        n1, n2 = min(lemma2_instances(f1, f2), key=sum)
+        results.append(lemma2_conclusion_check(f1, f2, n1, n2, label=f"{name1}.{name2}"))
 
     bicond: list[dict] = []
     try:

@@ -137,13 +137,15 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=50)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--threshold", type=int, default=search.DEFAULT_THRESHOLD)
     p.add_argument("--out", default=None, help="write one record per line (jsonl) to this path")
 
     p = sub.add_parser("verify-all", help="recompute and verify every registered claim")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=3, help="instances per proposition spot check")
-    p.add_argument("--samples", type=int, default=4, help="candidates for the biconditional sample")
+    p.add_argument(
+        "--samples", type=int, default=4,
+        help="candidates for the biconditional sample, rounded down to a multiple of 4, at least 4",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
 
@@ -213,10 +215,7 @@ def _cmd_concat_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = search.SearchConfig(
-        i1=args.i1, i2=args.i2, seed=args.seed, budget=args.budget,
-        threshold=args.threshold, threads=args.threads,
-    )
+    cfg = search.SearchConfig(i1=args.i1, i2=args.i2, seed=args.seed, budget=args.budget, threads=args.threads)
     print(f"search i1={cfg.i1} i2={cfg.i2} seed={cfg.seed} budget={cfg.budget}", file=sys.stderr)
     lines: list[str] = []
     sink = lines.append if args.out else None

@@ -37,6 +37,12 @@ def _check_n(n: int) -> None:
         raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
 
 
+def _bits_to_hex(bits: np.ndarray) -> str:
+    """The bits as an integer with bit i = entry i, in len/4 hex digits."""
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return format(int.from_bytes(packed, "little"), f"0{len(bits) // 4}x")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Bit-packed evaluation vector of an n-variable Boolean function."""
@@ -86,16 +92,10 @@ class TruthTable:
             raise ValueError(f"hex length {len(s)} does not match n={n}")
         return cls.from_int(n, int(s, 16))
 
-    def to_int(self) -> int:
-        value = 0
-        for i in np.flatnonzero(self.bits):
-            value |= 1 << int(i)
-        return value
-
     def to_hex(self) -> str:
         if self.n < 2:
             raise ValueError("hex form needs whole nibbles (n >= 2)")
-        return format(self.to_int(), f"0{1 << (self.n - 2)}x")
+        return _bits_to_hex(self.bits)
 
     def __xor__(self, other: "TruthTable") -> "TruthTable":
         if self.n != other.n:

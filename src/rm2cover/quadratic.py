@@ -55,7 +55,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import AnfPolynomial, TruthTable, fwht_rows, split, truth_table_from_anf
+from .core import AnfPolynomial, TruthTable, _bits_to_hex, fwht_rows, split, truth_table_from_anf
 
 # Block size: 2**LOW_BITS cosets per batched transform.  It is part of
 # the results, not only of the speed: threshold mode returns the minimum
@@ -205,8 +205,7 @@ class FhSet:
 
     def to_hex(self) -> str:
         """Bitset packed as an integer with bit k = membership of index k."""
-        packed = np.packbits(self.mask, bitorder="little").tobytes()
-        return format(int.from_bytes(packed, "little"), f"0{form_count(self.n) // 4}x")
+        return _bits_to_hex(self.mask)
 
 
 # --------------------------------------------------------------------------

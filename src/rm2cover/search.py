@@ -8,7 +8,8 @@ the six level-set inclusions (condition 2) act as a fast filter; a
 passing candidate is confirmed by the exact nl2 computation.  Per the
 characterisation, a pass must yield exactly 42 and a failure at most 40
 — any counterexample is refutation-grade and aborts the run with a full
-candidate dump.
+candidate dump.  The exact check's early-exit threshold is fixed at
+:data:`EXACT_CHECK_THRESHOLD`.
 
 Condition 2 needs the coset-value array of each candidate half.  The
 half lies in fun_i2's affine orbit modulo degree 2, so its array is
@@ -37,7 +38,9 @@ from .affine import AffineMap, sample_affine_map, apply_affine
 from .catalog import catalog_function
 from .core import TruthTable, concatenate
 
-DEFAULT_THRESHOLD = 41
+# early-exit bound of every exact check: a pass must be confirmable as
+# exactly 42, and a non-exact result already proves nl2 < 41
+EXACT_CHECK_THRESHOLD = 41
 
 
 class Nl2Result(NamedTuple):
@@ -71,8 +74,7 @@ class SearchConfig:
     i2: int = 4
     seed: int = 0
     budget: int = 50  # number of (A, b, g) candidates to sample
-    threshold: int = DEFAULT_THRESHOLD  # early-exit bound for exact checks
-    fail_check_rate: int = 100  # exact-check every k-th condition-2 failure
+    fail_check_rate: int = 100  # exact-check every k-th condition-2 failure (at EXACT_CHECK_THRESHOLD)
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -82,9 +84,6 @@ class SearchConfig:
             raise ValueError("budget must be positive")
         if self.fail_check_rate < 1 or self.threads < 1:
             raise ValueError("fail_check_rate and threads must be >= 1")
-        if self.threshold > DEFAULT_THRESHOLD:
-            # a pass must be confirmable as exactly 42, so never early-exit above 41
-            raise ValueError(f"threshold must be <= {DEFAULT_THRESHOLD}, got {self.threshold}")
 
 
 @dataclass
@@ -168,10 +167,6 @@ def condition2_relations(vals1: np.ndarray, vals2: np.ndarray) -> list[dict]:
     return relations
 
 
-def _candidate_half(i2: int, m: AffineMap, quad_index: int, linear_mask: int) -> TruthTable:
-    return apply_affine(catalog_function(f"fun_{i2}"), m) ^ quadratic.degree2_table(6, quad_index, linear_mask)
-
-
 def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] | None = None) -> SearchSummary:
     """Sample candidates, filter by condition 2, exact-check as configured.
 
@@ -192,7 +187,8 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
 
     f1 = catalog_function(f"fun_{cfg.i1}")
     vals1 = quadratic.coset_values(f1)
-    vals2 = quadratic.coset_values(catalog_function(f"fun_{cfg.i2}"))
+    f2 = catalog_function(f"fun_{cfg.i2}")
+    vals2 = quadratic.coset_values(f2)
 
     def evaluate(param) -> SearchRecord:
         k, m, quad_index, linear_mask = param
@@ -222,8 +218,8 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
                 check = True
             fails_seen += 1
         if check:
-            f = concatenate(f1, _candidate_half(cfg.i2, record.map, record.quad_index, record.linear_mask))
-            result = exact_nl2_7(f, threshold=cfg.threshold)
+            half = apply_affine(f2, record.map) ^ quadratic.degree2_table(6, record.quad_index, record.linear_mask)
+            result = exact_nl2_7(concatenate(f1, half), threshold=EXACT_CHECK_THRESHOLD)
             record.nl2_value, record.nl2_exact = result.value, result.exact
             exact_checked += 1
             if result.exact:
@@ -235,7 +231,6 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
                     raise FilterContradiction("condition-2 pass without exact nl2 = 42", record)
                 witnesses += 1
             elif result.exact and result.value > 40:
-                # a non-exact result already proves nl2 < 41
                 raise FilterContradiction("condition-2 failure with nl2 above 40", record)
         if on_record is not None:
             on_record(record)

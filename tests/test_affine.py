@@ -204,6 +204,12 @@ class TestEquivalenceSearch:
         assert result.status == BUDGET_EXHAUSTED
         assert result.nodes == 4  # stopped right after crossing the budget
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_budget_rejected(self, budget):
+        f = catalog_function("fun_4")
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            equivalence_search(f, f, budget=budget)
+
     def test_rejects_seven_variables(self):
         with pytest.raises(ValueError):
             equivalence_search(TruthTable.zeros(7), TruthTable.zeros(7))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -62,6 +63,13 @@ EXPECTED_VERDICTS = {
     "prop2.spot": CONFIRMED,
     "prop3.spot": CONFIRMED,
     "thm1.global-bound": CONFIRMED,
+}
+
+# SHA-256 of the canonical JSON of the full report at trials=3,
+# thm1_samples=4 (the CLI defaults), keyed by seed
+REPORT_DIGESTS = {
+    2024: "3cf93dbbf4ce4771121b55cf96065b92bc83e0f6db9dfb63d9aebf4c45ce2dec",
+    11: "873cc684f98f1176ea6906ad0abc5a8523e1a58e8574a7ede901fb7aa00d36e5",
 }
 
 
@@ -243,3 +251,10 @@ class TestSpotChecksAndFullRun:
         first = [r.as_json_dict() for r in verify_all(seed=5, trials=1, thm1_samples=4)]
         second = [r.as_json_dict() for r in verify_all(seed=5, trials=1, thm1_samples=4)]
         assert first == second
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_report_pinned(seed):
+    report = [r.as_json_dict() for r in verify_all(seed=seed, trials=3, thm1_samples=4)]
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[seed]

@@ -9,6 +9,7 @@ from rm2cover.cli import run
 GOLDEN_FUN3_CSV = "r,count\n16,448\n20,16128\n24,16128\n28,64\n"
 FUN4_FUN6 = "6820ea8042a0c00062480888eac08000"  # fun_4 || fun_6
 SEARCH_4_6_SEED1_SHA256 = "7f5c51f011d12b146bea88eb9a233015eea2117250f864ffa1ba06b940f3e3e8"
+VERIFY_ALL_CSV_SHA256 = "bfd33014c95c099364441e8f2f456a3d46a1031c71507b73533e684bdfad204e"  # default seed, trials, samples
 
 
 def invoke(capsys, *argv):
@@ -176,6 +177,11 @@ class TestVerifyAll:
         fun4_row = next(l for l in lines if l.startswith("obs5.fun_4.profile,") and ",26," in l)
         assert "10244" in fun4_row and "1024" in fun4_row
 
+    def test_csv_report_pinned(self, capsys):
+        code, out, _ = invoke(capsys, "verify-all", "--format", "csv")
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_CSV_SHA256
+
 
 class TestErrors:
     def test_non_positive_counts(self, capsys):
@@ -186,11 +192,17 @@ class TestErrors:
         code, _, err = invoke(capsys, "verify-all", "--samples", "0")
         assert code == 1 and "error: thm1_samples must be >= 1" in err
 
-    def test_search_threshold_above_41_rejected(self, capsys):
-        # a pass must be confirmable as exactly 42, so the bound is not clamped silently
-        code, out, err = invoke(capsys, "search", "--i1", "4", "--i2", "4", "--threshold", "45")
+    def test_search_has_no_threshold_option(self, capsys):
+        # the exact-check threshold is fixed at 41
+        code, out, err = invoke(capsys, "search", "--i1", "4", "--i2", "4", "--threshold", "41")
         assert code == 1 and out == ""
-        assert err.splitlines()[-1] == "error: threshold must be <= 41, got 45" and "Traceback" not in err
+        assert err.startswith("usage error:") and "--threshold" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_equiv_non_positive_budget(self, capsys, budget):
+        code, out, err = invoke(capsys, "equiv", "fun_4", "fun_4", "--budget", budget)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == f"error: budget must be >= 1, got {budget}" and "Traceback" not in err
 
     def test_profile_has_no_threads_option(self, capsys):
         code, out, err = invoke(capsys, "profile", "fun_5", "--threads", "2")

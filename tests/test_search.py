@@ -14,7 +14,6 @@ from rm2cover import (
     witness_search,
 )
 from rm2cover.quadratic import QuadraticForm, form_count
-from rm2cover.search import DEFAULT_THRESHOLD
 
 # SHA-256 of the canonical summary-plus-records JSON of witness_search at
 # budget 20 with every candidate exact-checked, keyed by (i1, i2, seed);
@@ -68,12 +67,9 @@ class TestConfig:
             SearchConfig(budget=0)
         with pytest.raises(ValueError):
             SearchConfig(threads=0)
-        with pytest.raises(ValueError, match="threshold must be <= 41"):
-            SearchConfig(threshold=45)
-
-    def test_defaults(self):
-        cfg = SearchConfig()
-        assert cfg.threshold == DEFAULT_THRESHOLD
+        # the exact-check threshold is fixed, not a setting
+        with pytest.raises(TypeError, match="threshold"):
+            SearchConfig(threshold=41)
 
 
 class TestWitnessSearch:
