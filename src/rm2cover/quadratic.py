@@ -10,9 +10,13 @@ From one scan everything else follows: the second-order nonlinearity is
 the minimum, the per-value histogram is the coset-nonlinearity profile,
 and the index sets at a fixed value are the level sets used in the
 concatenation-bound checks.  :func:`coset_values` is that one full scan
-per table: it caches the read-only array, and profiles, level sets, the
-maximum and the condition-2 inclusions all read it.  Minimum scans
-and ``coset_nonlinearities`` scan afresh.  A table in the affine orbit
+per table: the cache keeps the read-only array together with the
+table's :class:`NlProfile`, least recently used first, while the arrays
+add up to at most ``CACHE_BYTES`` (8 MB: every 32 KB n=6 array of the
+catalog and three 2 MB n=7 arrays).  Profiles, level sets, the maximum
+and the condition-2 inclusions all read it.  Minimum scans and
+``coset_nonlinearities`` scan afresh.  :func:`degree2_table` XORs the
+cached monomial rows of its n.  A table in the affine orbit
 of f modulo degree 2, f(Ax + b) + q_k + l, needs no scan: its array is
 f's permuted by :func:`form_map`.
 
@@ -49,9 +53,12 @@ iterator feeds every reduction (values, minimum, maximum, histogram).
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -64,6 +71,9 @@ from .core import AnfPolynomial, TruthTable, _bits_to_hex, fwht_rows, split, tru
 # where blocks end, also where the halves' minimum decides that no block
 # exits.  Changing it changes those outputs.
 _LOW_BITS = 11
+
+# Bytes of coset-value arrays the table cache may hold (see coset_values).
+CACHE_BYTES = 8 << 20
 
 
 def pair_count(n: int) -> int:
@@ -132,23 +142,39 @@ def form_map(matrix) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _degree2_rows(n: int) -> np.ndarray:
+    """Truth tables of the pair monomials x_i x_j in index-bit order, then
+    of x_1 .. x_n, one row each."""
+    idx = np.arange(1 << n, dtype=np.uint32)
+    var = ((idx >> np.arange(n, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)  # var[v]: x_(v+1)
+    rows, cols = np.triu_indices(n, 1)
+    out = np.concatenate([var[rows] & var[cols], var])
+    out.setflags(write=False)
+    return out
+
+
 def degree2_table(n: int, quad_index: int, linear_mask: int, constant: int = 0) -> TruthTable:
     """Truth table of q_quad_index + sum of x_(v+1) over set bits v of
-    linear_mask + constant."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    bits = QuadraticForm(n, quad_index).truth_table().bits ^ np.uint8(constant)
-    for v in range(n):
-        if (linear_mask >> v) & 1:
-            bits ^= ((idx >> v) & 1).astype(np.uint8)
-    return TruthTable(n, bits)
+    linear_mask + constant: the XOR of the selected monomial rows."""
+    m = pair_count(n)
+    if not 0 <= quad_index < 1 << m:
+        raise ValueError(f"index {quad_index} out of range for n={n}")
+    word = quad_index | (linear_mask & ((1 << n) - 1)) << m
+    chosen = ((word >> np.arange(m + n)) & 1).astype(bool)
+    return TruthTable(n, np.bitwise_xor.reduce(_degree2_rows(n)[chosen], axis=0) ^ np.uint8(constant))
 
 
 @dataclass(frozen=True)
 class NlProfile:
-    """Histogram r -> number of quadratic forms q with nl(f + q) = r."""
+    """Histogram r -> number of quadratic forms q with nl(f + q) = r.
+
+    ``counts`` is read-only: :func:`nfh_profile` hands every caller the
+    one cached profile of a table.
+    """
 
     n: int
-    counts: dict[int, int]
+    counts: Mapping[int, int]
 
     def __post_init__(self) -> None:
         counts = {int(r): int(c) for r, c in self.counts.items() if c}
@@ -157,7 +183,7 @@ class NlProfile:
             raise ValueError(f"profile sums to {total}, expected {form_count(self.n)}")
         if self.n >= 3 and len({r & 1 for r in counts}) > 1:
             raise ValueError("profile mixes parities, which cannot happen for n >= 3")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", MappingProxyType(counts))
 
     def count(self, r: int) -> int:
         return self.counts.get(r, 0)
@@ -330,17 +356,69 @@ def second_order_nonlinearity(f: TruthTable) -> int:
     return min_coset_nonlinearity(f)[0]
 
 
-@lru_cache(maxsize=64)
+_CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")
+
+
+class _TableCache:
+    """(coset values, profile) per table, least recently used first,
+    evicted while the arrays add up to more than ``max_bytes``.  Safe to
+    call from several threads; as with ``functools.lru_cache``, the scan
+    runs outside the lock, and a table scanned by two threads at once
+    keeps the entry stored first."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict[TruthTable, tuple[np.ndarray, NlProfile]] = OrderedDict()
+        self._nbytes = self._hits = self._misses = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, f: TruthTable) -> tuple[np.ndarray, NlProfile]:
+        with self._lock:
+            entry = self._entries.get(f)
+            if entry is not None:
+                self._entries.move_to_end(f)
+                self._hits += 1
+                return entry
+            self._misses += 1
+        vals = coset_nonlinearities(f)
+        vals.setflags(write=False)
+        entry = vals, NlProfile(f.n, dict(enumerate(np.bincount(vals))))
+        with self._lock:
+            if f not in self._entries:
+                self._entries[f] = entry
+                self._nbytes += vals.nbytes
+                while self._nbytes > self.max_bytes:
+                    self._nbytes -= self._entries.popitem(last=False)[1][0].nbytes
+            return self._entries.get(f, entry)  # an array above the bound alone is not kept
+
+    def info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, len(self._entries), self._nbytes)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._nbytes = self._hits = self._misses = 0
+
+
+_TABLES = _TableCache(CACHE_BYTES)
+
+
 def coset_values(f: TruthTable) -> np.ndarray:
     """nl(f + q) for every quadratic index: the one full scan of a table.
 
-    Cached per table, so each table is scanned once per process.  A
-    6-variable table's array takes 32 KB (2 MB at n=7); 64 entries hold
-    every catalog table.  Callers share the array, so it is read-only.
+    Cached per table with its profile, so each table is scanned once per
+    process while it stays in the cache.  A 6-variable table's array
+    takes 32 KB (2 MB at n=7); the cache keeps at most ``CACHE_BYTES``
+    of them.  Callers share the array, so it is read-only.
+    ``coset_values.cache_info()`` and ``coset_values.cache_clear()``
+    report on and empty the cache, profiles included.
     """
-    vals = coset_nonlinearities(f)
-    vals.setflags(write=False)
-    return vals
+    return _TABLES(f)[0]
+
+
+coset_values.cache_info = _TABLES.info
+coset_values.cache_clear = _TABLES.clear
 
 
 def max_nl_over_quadratics(f: TruthTable) -> int:
@@ -349,9 +427,9 @@ def max_nl_over_quadratics(f: TruthTable) -> int:
 
 
 def nfh_profile(f: TruthTable) -> NlProfile:
-    """Full coset-nonlinearity histogram of f, counted from the cached
-    :func:`coset_values`."""
-    return NlProfile(f.n, dict(enumerate(np.bincount(coset_values(f)))))
+    """Full coset-nonlinearity histogram of f: the one profile cached
+    with :func:`coset_values`, shared by every caller."""
+    return _TABLES(f)[1]
 
 
 def fh_set(f: TruthTable, r: int) -> FhSet:

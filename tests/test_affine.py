@@ -104,6 +104,28 @@ class TestAffineMap:
         assert abs(hits / 1000 - expected) < 0.06
         assert abs(expected - 0.2934) < 5e-4  # the analytic value itself
 
+    def test_sampled_map_rank_tested_once_per_draw(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(affine, "is_invertible", lambda a: calls.append(a) or is_invertible(a))
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng, self.matrices = np.random.default_rng(seed), 0
+
+            def integers(self, *args, size, **kwargs):
+                self.matrices += isinstance(size, tuple)  # (n, n): a matrix, n: the offset
+                return self.rng.integers(*args, size=size, **kwargs)
+
+        for seed in range(40):
+            calls.clear()
+            rng = CountingRng(seed)
+            m = sample_affine_map(6, rng)
+            assert len(calls) == rng.matrices and calls[-1] is m.matrix
+            assert not m.matrix.flags.writeable and not m.offset.flags.writeable
+            # the constructor still tests, accepts the map and gives the same one
+            assert m.as_json_dict() == AffineMap(6, m.matrix, m.offset).as_json_dict()
+            assert len(calls) == rng.matrices + 1
+
     def test_json_form(self):
         m = AffineMap.identity(3)
         d = m.as_json_dict()

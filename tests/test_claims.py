@@ -247,6 +247,17 @@ class TestSpotChecksAndFullRun:
         assert per_call == [{6: 23, 7: 10}, {7: 10}]
         assert coset_values.cache_info().misses == 23
 
+    def test_warm_verify_all_builds_no_profile(self, monkeypatch):
+        # each catalog table's profile is built once, with its cached scan
+        from rm2cover.quadratic import NlProfile
+
+        verify_all(seed=11, trials=1, thm1_samples=4)
+        built = []
+        post_init = NlProfile.__post_init__
+        monkeypatch.setattr(NlProfile, "__post_init__", lambda self: built.append(self.n) or post_init(self))
+        verify_all(seed=11, trials=1, thm1_samples=4)
+        assert built == []
+
     def test_verify_all_rerun_determinism(self):
         first = [r.as_json_dict() for r in verify_all(seed=5, trials=1, thm1_samples=4)]
         second = [r.as_json_dict() for r in verify_all(seed=5, trials=1, thm1_samples=4)]

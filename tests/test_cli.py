@@ -9,6 +9,12 @@ from rm2cover.cli import run
 GOLDEN_FUN3_CSV = "r,count\n16,448\n20,16128\n24,16128\n28,64\n"
 FUN4_FUN6 = "6820ea8042a0c00062480888eac08000"  # fun_4 || fun_6
 SEARCH_4_6_SEED1_SHA256 = "7f5c51f011d12b146bea88eb9a233015eea2117250f864ffa1ba06b940f3e3e8"
+# SHA-256 of `profile fun_6` per format, recorded when every call built its own profile
+PROFILE_FUN6_SHA256 = {
+    "plain": "fcbb81f034c873a59cd56eb18120113c25e33bb14154962b2a879bc6c2305941",
+    "json": "3b7a81984af53dfa303234d3bd9d48cdf8bd7ab2b1c185400007034ba1475e57",
+    "csv": "87f7eb02318cfd8ec2f1e0d73bd570169ee0b3fd89db4767a77791f39af29243",
+}
 VERIFY_ALL_CSV_SHA256 = "bfd33014c95c099364441e8f2f456a3d46a1031c71507b73533e684bdfad204e"  # default seed, trials, samples
 
 
@@ -34,6 +40,12 @@ class TestBasicCommands:
     def test_nl2_threshold_upper_bound(self, capsys):
         code, out, _ = invoke(capsys, "nl2", "fun_1", "--threshold", "19")
         assert code == 0 and out.startswith("<19 (upper bound ")
+
+    @pytest.mark.parametrize("fmt", sorted(PROFILE_FUN6_SHA256))
+    def test_profile_pinned(self, capsys, fmt):
+        for _ in range(2):  # cold or warm, the shared cached profile prints the same
+            code, out, _ = invoke(capsys, "profile", "fun_6", "--format", fmt)
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == PROFILE_FUN6_SHA256[fmt]
 
     def test_profile_csv_golden_and_stable(self, capsys):
         code, out1, _ = invoke(capsys, "profile", "fun_3", "--format", "csv")

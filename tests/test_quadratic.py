@@ -1,5 +1,8 @@
 import math
+import sys
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -405,6 +408,20 @@ class TestProfiles:
         expected = np.unique(row_layout_coset_nl(small.bits, 4, 0, 64), return_counts=True)
         assert small_profile.counts == dict(zip(*expected))
 
+    def test_profile_cached_with_the_scan_and_read_only(self):
+        f = catalog_function("fun_5")
+        profile = nfh_profile(f)
+        assert nfh_profile(catalog_function("fun_5")) is profile
+        with pytest.raises(TypeError):
+            profile.counts[16] = 0
+        other = nfh_profile(catalog_function("fun_3"))
+        merged = profile.counts | other.counts
+        assert type(merged) is dict and set(merged) == set(profile.counts) | set(other.counts)
+        assert profile == NlProfile(6, dict(profile.counts)) and profile.counts == dict(profile.counts)
+        quadratic.coset_values.cache_clear()  # drops the profiles with the arrays
+        again = nfh_profile(f)
+        assert again is not profile and again == profile
+
     def test_affine_invariance(self, rng):
         from rm2cover.claims import _random_degree2
 
@@ -431,6 +448,102 @@ class TestProfiles:
         pieces = [coset_nonlinearities(f, a, b) for a, b in ((0, 5000), (5000, 20000), (20000, 32768))]
         assert np.array_equal(np.concatenate(pieces), full)
         assert coset_nonlinearities(f, 100, 100).size == 0
+
+
+class TestTableCache:
+    @pytest.fixture
+    def fake_scan(self, monkeypatch):
+        """Every scan returns a fresh right-sized array of zeros at once."""
+        monkeypatch.setattr(quadratic, "_scan", lambda f, *args: iter([np.zeros(form_count(f.n), dtype=np.uint8)]))
+        quadratic.coset_values.cache_clear()
+        yield
+        quadratic.coset_values.cache_clear()  # drop the fake arrays
+
+    def test_bounded_by_bytes(self, fake_scan, rng):
+        catalog = list(dict.fromkeys(catalog_function(name) for name in catalog_names()))  # 24 names, 23 tables
+        for f in catalog * 2:  # all of them fit
+            quadratic.coset_values(f)
+        assert quadratic.coset_values.cache_info().misses == len(catalog) == 23
+        tables = [TruthTable(7, bits) for bits in random_tables(rng, 70, 7)]
+        refs = [weakref.ref(quadratic.coset_values(f)) for f in tables]
+        live = [r() for r in refs if r() is not None]  # only the cache holds them
+        info = quadratic.coset_values.cache_info()
+        assert sum(a.nbytes for a in live) == info.nbytes <= quadratic.CACHE_BYTES
+        assert info.misses == 23 + 70 and info.currsize == len(live) >= 1
+        assert refs[-1]() is not None and refs[0]() is None  # the oldest go first
+        assert quadratic.coset_values(tables[-1]) is refs[-1]()
+
+    def test_array_above_the_bound_is_not_kept(self, fake_scan, monkeypatch):
+        monkeypatch.setattr(quadratic._TABLES, "max_bytes", 1 << 20)
+        f = TruthTable.zeros(7)
+        assert quadratic.coset_values(f).size == 1 << 21
+        assert quadratic.coset_values.cache_info()[1:] == (1, 0, 0)  # misses, currsize, nbytes
+
+    def test_threads_share_one_entry(self):
+        quadratic.coset_values.cache_clear()
+        names = ("fun_3", "fun_4", "fun_9")
+
+        def read(i):
+            f = catalog_function(names[i % 3])
+            return f, quadratic.coset_values(f), nfh_profile(f)
+
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(read, range(12), timeout=60))
+        for f, vals, profile in results:
+            assert quadratic.coset_values(f) is vals and nfh_profile(f) is profile
+        info = quadratic.coset_values.cache_info()
+        assert info.currsize == 3 and info.nbytes == 3 * form_count(6)
+
+    def test_threads_keep_the_accounting(self, fake_scan, monkeypatch, rng):
+        # eight threads over 40 tables, ten of which fit: a lost update
+        # of the counts or the byte total breaks the identities below
+        monkeypatch.setattr(quadratic._TABLES, "max_bytes", 10 * form_count(6))
+        tables = [TruthTable(6, bits) for bits in random_tables(rng, 40, 6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                list(pool.map(lambda i: nfh_profile(tables[i % 40]), range(2000), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        info = quadratic.coset_values.cache_info()
+        assert info.hits + info.misses == 2000
+        assert info.nbytes == info.currsize * form_count(6) <= 10 * form_count(6)
+
+
+class TestDegree2Table:
+    @staticmethod
+    def expected(n, k, mask, constant):
+        """The ANF route: q_k's table XOR the parity of (x & mask) XOR the constant."""
+        linear = np.array([bin(x & mask).count("1") & 1 for x in range(1 << n)], dtype=np.uint8)
+        return QuadraticForm(n, k).truth_table().bits ^ linear ^ constant
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_triple_small_n(self, n):
+        for k in range(form_count(n)):
+            for mask in range(1 << n):
+                for constant in (0, 1):
+                    got = quadratic.degree2_table(n, k, mask, constant)
+                    assert np.array_equal(got.bits, self.expected(n, k, mask, constant)), (k, mask, constant)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_seeded_triples(self, n):
+        rng = np.random.default_rng(900 + n)
+        for _ in range(500):
+            k, mask, constant = int(rng.integers(0, form_count(n))), int(rng.integers(0, 1 << n)), int(rng.integers(0, 2))
+            got = quadratic.degree2_table(n, k, mask, constant)
+            assert np.array_equal(got.bits, self.expected(n, k, mask, constant)), (k, mask, constant)
+
+    def test_zero_form(self):
+        for n in range(2, 8):
+            assert quadratic.degree2_table(n, 0, 0) == TruthTable.zeros(n)
+            assert quadratic.degree2_table(n, 0, 0, 1) == TruthTable.ones(n)
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            quadratic.degree2_table(6, form_count(6), 0)
+        with pytest.raises(ValueError, match="out of range"):
+            quadratic.degree2_table(6, -1, 0)
 
 
 class TestLevelSets:
