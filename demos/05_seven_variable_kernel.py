@@ -2,11 +2,14 @@
 
 The minimum over all 2^21 homogeneous quadratics comes from the two
 6-variable halves, min over q of nl(f1 + q) + nl(f2 + q): two batched
-Walsh scans of 2^15 cosets (about 7 ms on a 2-core Xeon host with
-numpy 2.4).  An early-exit threshold turns the kernel into an
-upper-bound prover: its result is that of a direct scan stopped at the
-end of the first 2048-coset block whose running minimum is below the
-threshold.
+int8 Walsh scans of 2^15 cosets (4-6 ms warm on a 2-core Xeon host
+with numpy 2.4; the first call also builds the sign tables).  An
+early-exit threshold turns the kernel into an upper-bound prover: its
+result is that of a block scan stopped at the end of the first
+2048-coset block whose running minimum is below the threshold.  Those
+blocks come from the halves too, one 64-point transform per range of
+512 q, so a check that stops in the first block takes 0.15-0.2 ms
+warm.
 """
 
 import time

@@ -198,6 +198,11 @@ def fwht_rows(a: np.ndarray) -> None:
     stage is one contiguous operation over every column at once.  One
     scratch buffer serves every stage: a fresh temporary per stage
     doubled the time of an n=7 scan block.
+
+    Arithmetic wraps in ``a``'s dtype, so the caller picks one that holds
+    every partial sum: for a +-1 input of ``N`` points each one lies in
+    [-N, N], so int8 holds transforms of up to 64 points exactly, int16
+    of up to 16384.
     """
     if not a.flags.c_contiguous:
         raise ValueError("fwht_rows transforms in place and needs a C-contiguous array")

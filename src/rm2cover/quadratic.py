@@ -34,20 +34,29 @@ of 2**21 cosets of 128.  Threshold mode returns what a direct block
 scan returns (see :func:`min_coset_nonlinearity`) in three steps:
 
 1. scan the whole blocks among the first ``form_count(n - 1)`` indices
-   directly (16 at n = 7, none at n <= 6), the work of one half's scan,
-   and return at the first block whose minimum is below the threshold;
+   block by block (16 at n = 7 over 8 q-ranges, none at n <= 6), and
+   return at the first block whose minimum is below the threshold;
 2. otherwise, if ``min s`` is not below the threshold, it is the exact
    minimum;
-3. otherwise scan the later blocks directly, in index order, and return
-   the first block minimum below the threshold.
+3. otherwise scan the later blocks, in index order, and return the
+   first block minimum below the threshold.
 
-The scan is vectorised: signs of ``f + q`` for a block of 2048
-consecutive indices are built from two cached sign tables (low / high
-index bits) as a ``(2**n, 2048)`` array, one column per coset.  The
-coset axis is innermost, so every stage of the in-place Walsh transform
-along axis 0 is one contiguous operation over whole rows of 2048
-cosets, and the spectrum maximum is a reduction over rows.  One block
-iterator feeds every reduction (values, minimum, maximum, histogram).
+The scan is vectorised.  At n <= 6 the signs of ``f + q`` for a block
+of 2048 consecutive indices are built from two cached sign tables (low
+/ high index bits) as a ``(2**n, 2048)`` int8 array, one column per
+coset.  The coset axis is innermost, so every stage of the in-place
+Walsh transform along axis 0 is one contiguous operation over whole
+rows of 2048 cosets, and the spectrum maximum is a reduction over rows.
+At n = 7 a block is built from the halves instead: its 2048 forms are
+Q = q + x_7 * l for 512 consecutive 6-variable q and 4 linear l, and
+
+    nl(f + Q) = 64 - max over u of (|W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|) / 2,
+
+so one 64-point transform of both halves' signs serves every block of
+the same q-range within a scan call.  No transform has more than 64
+points, so every one runs in int8 (partial sums lie in [-64, 64]).  One
+block iterator feeds every reduction (values, minimum, maximum,
+histogram).
 """
 
 from __future__ import annotations
@@ -245,7 +254,7 @@ def _low_bits(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sign_tables(n: int):
-    """Cached (chi_low, chi_high, low_bits) sign tables for n.
+    """Cached (chi_low, chi_high, low_bits) sign tables for n <= 6.
 
     chi_low[:, k] (a column) is the +-1 table of the quadratic whose index
     is k over the low index bits, so chi_low has shape
@@ -272,12 +281,90 @@ def _sign_tables(n: int):
     return np.ascontiguousarray(span(mono_chi[:low_bits]).T), span(mono_chi[low_bits:]), low_bits
 
 
-def _block_nl(chi_f: np.ndarray, chi_high_row: np.ndarray, chi_low: np.ndarray, half: int) -> np.ndarray:
-    """nl(f + q) for one block: column k of the spectrum block is coset k."""
-    w = ((chi_f * chi_high_row)[:, None] * chi_low).astype(np.int16)
+def _abs_spectra(w: np.ndarray) -> np.ndarray:
+    """|Walsh spectra| of the columns of an int8 +-1 block, as uint8.
+
+    The block is transformed in place.  Every butterfly partial sum of a
+    +-1 input of at most 64 points lies in [-64, 64], so int8 holds the
+    whole transform exactly; a longer leading axis raises ValueError.
+    """
+    if w.dtype != np.int8 or w.shape[0] > 64:
+        raise ValueError(f"int8 transforms take at most 64 points, got {w.shape[0]} of {w.dtype}")
     fwht_rows(w)
     np.abs(w, out=w)
-    return (half - (w.max(axis=0) >> 1)).astype(np.uint8)
+    return w.view(np.uint8)
+
+
+def _direct_blocks(f: TruthTable):
+    """Block kernel for n <= 6: the (2**n, 2048) sign block, transformed."""
+    chi_low, chi_high, _ = _sign_tables(f.n)
+    chi_f = 1 - 2 * f.bits.astype(np.int8)
+    half = 1 << (f.n - 1)
+
+    def block_nl(hi: int, part: slice) -> np.ndarray:
+        w = (chi_f * chi_high[hi])[:, None] * chi_low
+        return half - (_abs_spectra(w).max(axis=0)[part] >> 1)
+
+    return block_nl
+
+
+@lru_cache(maxsize=None)
+def _halves_layout(n: int):
+    """(offsets, q0, l0) for n-variable blocks built from the halves.
+
+    A form index splits as Q = q + x_n * l: its bit of a pair (i, n) is
+    bit i - 1 of the linear l, its other bits are those of q's
+    (n-1)-variable index, in the same order.  At n = 7 the low 11 bits
+    hold the pairs (1, 7) and (2, 7), so block ``hi`` is the 512
+    consecutive q from ``q0[hi]`` times the 4 l from ``l0[hi]``, and
+    index ``(hi << 11) + k`` reads entry ``offsets[k]`` of the block's
+    (4, 512) values (row l ^ l0[hi], column q - q0[hi]).
+    """
+    m, low_bits = pair_count(n), _low_bits(n)
+    to_l = np.array([j == n for _, j in variable_pairs(n)])
+    weight = np.array([1 << (i - 1) for i, _ in variable_pairs(n)])  # l bit of a pair (i, n)
+    weight[~to_l] = 1 << np.arange(np.count_nonzero(~to_l))  # q bit of every other pair
+
+    def parts(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The q and l parts of every index over the index bits lo .. hi - 1."""
+        index_bits = (np.arange(1 << (hi - lo))[:, None] >> np.arange(hi - lo)) & 1
+        return index_bits @ (weight[lo:hi] * ~to_l[lo:hi]), index_bits @ (weight[lo:hi] * to_l[lo:hi])
+
+    q_low, l_low = parts(0, low_bits)
+    q0, l0 = parts(low_bits, m)
+    return l_low * (int(q_low.max()) + 1) + q_low, q0, l0
+
+
+def _halves_blocks(f: TruthTable):
+    """Block kernel for n = 7 from the halves f = f1 || f2, by
+    W_(f+Q)(u, u_7) = W_(f1+q)(u) +- W_(f2+q)(u ^ l) for Q = q + x_7 * l.
+
+    One 64-point transform of a (64, 2 * 512) int8 block gives both
+    halves' |W| for a q-range and is kept for the scan call's other
+    blocks of that range: 64 KB each, at most 4 MB over the 64 ranges
+    of a full scan.
+    """
+    offsets, q0, l0 = _halves_layout(f.n)
+    chi_low, chi_high, low_bits = _sign_tables(f.n - 1)
+    chi_halves = (1 - 2 * f.bits.astype(np.int8)).reshape(2, -1).T  # column h: half h's signs
+    width = chi_halves.shape[0]
+    q_span = offsets.size // 4
+    rows = np.arange(width)[:, None] ^ np.arange(4)  # u ^ l over the block's 4 low l bits
+    half = 1 << (f.n - 1)
+    spectra: dict[int, np.ndarray] = {}
+
+    def block_nl(hi: int, part: slice) -> np.ndarray:
+        q = int(q0[hi])
+        spec = spectra.get(q)
+        if spec is None:
+            col = q & ((1 << low_bits) - 1)
+            signs = (chi_halves * chi_high[q >> low_bits][:, None])[:, :, None] * chi_low[:, None, col : col + q_span]
+            spec = spectra[q] = _abs_spectra(signs.reshape(width, -1)).reshape(width, 2, q_span)
+        sums = spec[rows ^ l0[hi], 1]  # |W_(f2+q)(u ^ l)|, shape (64, 4, 512)
+        sums += spec[:, None, 0]  # at most 64 + 64: fits uint8
+        return half - (sums.max(axis=0).ravel()[offsets[part]] >> 1)
+
+    return block_nl
 
 
 def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
@@ -291,12 +378,11 @@ def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np
         raise ValueError(f"bad index range [{start}, {stop}) for n={f.n}")
     if start == stop:
         return
-    chi_low, chi_high, low_bits = _sign_tables(f.n)
-    chi_f = 1 - 2 * f.bits.astype(np.int8)
-    half = 1 << (f.n - 1)
+    low_bits = _low_bits(f.n)
+    block_nl = _halves_blocks(f) if f.n == 7 else _direct_blocks(f)
     for hi in range(start >> low_bits, ((stop - 1) >> low_bits) + 1):
         lo0 = hi << low_bits
-        yield _block_nl(chi_f, chi_high[hi], chi_low, half)[max(start - lo0, 0) : stop - lo0]
+        yield block_nl(hi, slice(max(start - lo0, 0), stop - lo0))
 
 
 def coset_nonlinearities(f: TruthTable, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -326,9 +412,9 @@ def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> tuple
     below it: that block's minimum, an upper bound proving the minimum
     is below the threshold (second element False).  It is found in three
     steps: (1) scan the whole blocks among the first ``form_count(n - 1)``
-    indices directly; (2) else return ``min s`` as exact if it is not
-    below the threshold; (3) else scan the later blocks directly, in
-    index order.  A returned True always means the exact minimum.
+    indices block by block; (2) else return ``min s`` as exact if it is
+    not below the threshold; (3) else scan the later blocks, in index
+    order.  A returned True always means the exact minimum.
     """
     if f.n < 3:  # one block, and 1-variable halves have no quadratic forms
         best = int(coset_nonlinearities(f).min())

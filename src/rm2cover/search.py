@@ -60,7 +60,8 @@ def exact_nl2_7(f: TruthTable, threshold: int | None = None) -> Nl2Result:
     With ``threshold`` the result is that of a direct scan in blocks of
     2048 stopped at the end of the first block whose running minimum is
     below it: that minimum, an upper bound proving nl2 < threshold
-    without being exact.
+    without being exact.  Those blocks come from the halves too: each
+    is read off two 64-point spectra per q, never a 128-point transform.
     """
     if f.n != 7:
         raise ValueError(f"the exact kernel is for n=7, got n={f.n}")

@@ -9,6 +9,10 @@ butterflies.  ``derivative_walsh_keys`` and ``third_derivative_weights``
 build the equivalence-search invariants by explicit gathers and a
 Hadamard matrix product, without the library's transform.
 ``numpy_is_invertible`` is the earlier element-wise GF(2) elimination.
+``int16_coset_nl`` is the scan's previous block kernel, a direct int16
+sign block of ``2**n`` points per coset (128 at n=7); it shares only
+``core.fwht_rows``, which ``test_core`` checks against a Hadamard
+matrix product.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
+
+from rm2cover.core import fwht_rows
 
 
 def eval_anf_pointwise(monomials, n: int) -> list[int]:
@@ -139,6 +145,32 @@ def row_layout_coset_nl(bits: np.ndarray, n: int, start: int, stop: int) -> np.n
         vals = (width >> 1) - np.abs(w).max(axis=1) // 2
         out.append(vals[max(start - lo0, 0) : stop - lo0])
     return np.concatenate([np.empty(0, dtype=np.int64), *out]).astype(np.uint8)
+
+
+def _block_nl(chi_f: np.ndarray, chi_high_row: np.ndarray, chi_low: np.ndarray, half: int) -> np.ndarray:
+    """nl(f + q) for one block: column k of the int16 spectrum block is coset k."""
+    w = ((chi_f * chi_high_row)[:, None] * chi_low).astype(np.int16)
+    fwht_rows(w)
+    np.abs(w, out=w)
+    return (half - (w.max(axis=0) >> 1)).astype(np.uint8)
+
+
+def int16_coset_nl(bits: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """nl(f + q) for the quadratic indices in [start, stop) by the previous
+    kernel: each block of 2048 consecutive indices (fewer for n <= 5) is a
+    ``(2**n, 2048)`` sign block, coset axis innermost, copied to int16
+    and transformed whole, also at n = 7."""
+    pairs = rm2_basis(n)[n + 1 :]
+    low_bits = min(len(pairs), 11)
+    chi_low = np.ascontiguousarray((1 - 2 * span_tables(pairs[:low_bits]).astype(np.int8)).T)
+    chi_high = 1 - 2 * span_tables(pairs[low_bits:]).astype(np.int8)
+    chi_f = 1 - 2 * np.asarray(bits, dtype=np.int8)
+    block = 1 << low_bits
+    out = [
+        _block_nl(chi_f, chi_high[lo0 >> low_bits], chi_low, 1 << (n - 1))[max(start - lo0, 0) : stop - lo0]
+        for lo0 in range(start - start % block, stop, block)
+    ]
+    return np.concatenate([np.empty(0, dtype=np.uint8), *out])
 
 
 def derivative_walsh_keys(bits: np.ndarray, n: int) -> np.ndarray:

@@ -16,6 +16,18 @@ PROFILE_FUN6_SHA256 = {
     "csv": "87f7eb02318cfd8ec2f1e0d73bd570169ee0b3fd89db4767a77791f39af29243",
 }
 VERIFY_ALL_CSV_SHA256 = "bfd33014c95c099364441e8f2f456a3d46a1031c71507b73533e684bdfad204e"  # default seed, trials, samples
+STEP3_TABLE = "109bc89eac728b88e5f3d596fb123488"  # fun_4||fun_6 + q_506521
+# SHA-256 of n=7 outputs, recorded while every n=7 block was a 128-point transform
+N7_SHA256 = {
+    ("profile", STEP3_TABLE, "--format", "json"): "c685d4cd85680f9d4d1423bac3ef37dad72d094542953ae03cfaec149dbe10e5",
+    ("fh", STEP3_TABLE, "34", "--format", "json"): "f4ec464a6bad62f74173d5878d3853bfcb7f8bc2afdd78accaf556bf499bd185",
+    ("fh", FUN4_FUN6, "40", "--format", "json"): "d2d1c8b705e63010bec900543822a34eb22c02db790e9087fdd9332488cd891a",
+    # threshold mode exits at step 1 (a head block), 2 (the halves' exact minimum) and 3 (block 167)
+    ("nl2", FUN4_FUN6, "--threshold", "41"): "03f2250adcfa50ed38b33ccd1676f8dadd93931c9c2038261b07ad59af0fcec2",
+    ("nl2", STEP3_TABLE, "--threshold", "37"): "e14868574d4e95f7a1bc895f8fc2d16ec74ea71a32e144b96aa43096f0ac4f0b",
+    ("nl2", FUN4_FUN6, "--threshold", "32"): "2115cdb6bfcfb008eb2bab2bb79347cb064a48e4e7c4115ccbe4469c787bb6c4",
+    ("nl2", STEP3_TABLE, "--threshold", "35"): "42ecc4e5f39b97d218d2801255f83d79d27bacdaffb69495dc8ca52ec46e2a4b",
+}
 
 
 def invoke(capsys, *argv):
@@ -46,6 +58,11 @@ class TestBasicCommands:
         for _ in range(2):  # cold or warm, the shared cached profile prints the same
             code, out, _ = invoke(capsys, "profile", "fun_6", "--format", fmt)
             assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == PROFILE_FUN6_SHA256[fmt]
+
+    @pytest.mark.parametrize("argv", sorted(N7_SHA256), ids=" ".join)
+    def test_n7_output_pinned(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == N7_SHA256[argv]
 
     def test_profile_csv_golden_and_stable(self, capsys):
         code, out1, _ = invoke(capsys, "profile", "fun_3", "--format", "csv")

@@ -29,7 +29,13 @@ from rm2cover.cli import resolve_function
 from rm2cover import quadratic
 from rm2cover.catalog import catalog_names
 from rm2cover.quadratic import NlProfile, form_count, pair_count, variable_pairs
-from oracles import brute_second_order_nl, brute_second_order_nl_batch, random_tables, row_layout_coset_nl
+from oracles import (
+    brute_second_order_nl,
+    brute_second_order_nl_batch,
+    int16_coset_nl,
+    random_tables,
+    row_layout_coset_nl,
+)
 
 STEP3_TABLE = "109bc89eac728b88e5f3d596fb123488"  # fun_4||fun_6 + q_506521 at n=7
 
@@ -53,16 +59,16 @@ def _oracle_threshold_min(block_mins, threshold: int | None) -> tuple[int, bool]
 
 
 @pytest.fixture
-def block_calls(monkeypatch):
-    """Records n for each block transform the scan makes."""
+def transforms(monkeypatch):
+    """Records the point count (leading axis) of each transform the scan makes."""
     calls = []
-    block_nl = quadratic._block_nl
+    fwht_rows = quadratic.fwht_rows
 
-    def counting(chi_f, *args):
-        calls.append(chi_f.size.bit_length() - 1)
-        return block_nl(chi_f, *args)
+    def counting(a):
+        calls.append(a.shape[0])
+        fwht_rows(a)
 
-    monkeypatch.setattr(quadratic, "_block_nl", counting)
+    monkeypatch.setattr(quadratic, "fwht_rows", counting)
     quadratic.coset_values.cache_clear()  # a cached table is not transformed again
     return calls
 
@@ -231,18 +237,19 @@ class TestHalvesRoute:
             block_mins = coset_nonlinearities(f).reshape(-1, 2048).min(axis=1).tolist()
             self.assert_matches(f, block_mins, min(block_mins))
 
-    def test_step3_scans_on_from_the_head_blocks(self, block_calls):
+    def test_step3_scans_on_from_the_head_blocks(self, transforms):
         # STEP3_TABLE is the first fun_4||fun_6 + q_k, k drawn by default_rng(2024)
         # from form_count(7), whose 16 head blocks hold no value below 35
         f = TruthTable.from_hex(STEP3_TABLE)
         assert min_coset_nonlinearity(f, 35) == (34, False)
-        # 16 head blocks, the halves, then blocks 16 .. 167 (the exit block), each once
-        assert Counter(block_calls) == {7: 168, 6: 32}
+        # 8 q-ranges for the 16 head blocks, 2 x 16 blocks for the halves, then
+        # the 56 q-ranges of blocks 16 .. 167 (the exit block), each transformed once
+        assert Counter(transforms) == {64: 8 + 32 + 56}
 
-    def test_step2_returns_exact_minimum_of_halves(self, block_calls):
+    def test_step2_returns_exact_minimum_of_halves(self, transforms):
         f = concatenate(catalog_function("fun_4"), catalog_function("fun_6"))
         assert min_coset_nonlinearity(f, 32) == (32, True)
-        assert Counter(block_calls) == {7: 16, 6: 32}
+        assert Counter(transforms) == {64: 8 + 32}
 
     def test_exhaustive_n7_scans_only_the_halves(self, monkeypatch):
         scans = Counter()
@@ -297,6 +304,104 @@ class TestRowLayoutOracle:
             for lo in starts:
                 expected = row_layout_coset_nl(f.bits, 7, lo, lo + block)
                 assert np.array_equal(coset_nonlinearities(f, lo, lo + block), expected)
+
+
+class TestHalvesBlocks:
+    """n=7 blocks from the halves' int8 spectra against the row-layout
+    oracle and the previous int16 kernel, at the edges of the int8 and
+    uint8 ranges."""
+
+    TOTAL = form_count(7)
+    BLOCK = 2048
+
+    def assert_ranges(self, f: TruthTable, ranges) -> None:
+        for start, stop in ranges:
+            expected = row_layout_coset_nl(f.bits, 7, start, stop)
+            assert np.array_equal(coset_nonlinearities(f, start, stop), expected), (start, stop)
+
+    def index_of(self, q6: int, linear: int) -> int:
+        """The n=7 index of q + x_7 * l for a 6-variable q index and l mask."""
+        pairs = QuadraticForm(6, q6).coefficient_pairs()
+        pairs += tuple((i + 1, 7) for i in range(6) if (linear >> i) & 1)
+        return QuadraticForm.from_pairs(7, pairs).index
+
+    @pytest.mark.parametrize("q6, linear", [(0, 0), (5, 0), (30000, 0b100001), (12345, 0b111111)])
+    def test_quadratic_pairs_reach_nl_zero(self, q6, linear):
+        # f = q || q + l: nl(f + q + x_7 * l) = 0, where |W| + |W| = 64 + 64
+        q = QuadraticForm(6, q6).truth_table()
+        f = concatenate(q, q ^ quadratic.degree2_table(6, 0, linear))
+        k = self.index_of(q6, linear)
+        assert coset_nonlinearities(f, k, k + 1).tolist() == [0]
+        lo = k - k % self.BLOCK
+        self.assert_ranges(f, [(lo, lo + self.BLOCK), (max(k - 700, 0), k + 900)])
+
+    def test_zero_table(self):
+        f = TruthTable.zeros(7)
+        self.assert_ranges(f, [(0, self.BLOCK), (self.TOTAL - self.BLOCK, self.TOTAL), (3000, 7000)])
+        assert coset_nonlinearities(f, 0, 1).tolist() == [0]
+
+    def test_bent_halves(self):
+        # Maiorana-McFarland bent halves: |W| = 8 at every u
+        bent = truth_table_from_anf(AnfPolynomial.from_string("x1x4+x2x5+x3x6+x4x5x6", n=6))
+        from rm2cover.core import walsh_spectrum
+
+        assert set(np.abs(walsh_spectrum(bent).values).tolist()) == {8}
+        for f in (concatenate(bent, bent), concatenate(bent, bent ^ TruthTable.ones(6))):
+            self.assert_ranges(f, [(0, self.BLOCK), (517 * self.BLOCK, 518 * self.BLOCK)])
+
+    def test_last_block_and_ranges_cut_mid_block(self, rng):
+        f = TruthTable(7, random_tables(rng, 1, 7)[0])
+        total, block = self.TOTAL, self.BLOCK
+        self.assert_ranges(
+            f,
+            [
+                (total - block, total),
+                (total - 3000, total - 7),
+                (1000, 5000),
+                (block + 1, 2 * block - 1),
+                (77 * block + 513, 77 * block + 514),
+            ],
+        )
+
+    def test_full_n7_values_match_int16_kernel(self):
+        f = TruthTable.from_hex(STEP3_TABLE)
+        assert np.array_equal(quadratic.coset_values(f), int16_coset_nl(f.bits, 7, 0, self.TOTAL))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_direct_blocks_match_int16_kernel(self, rng, n):
+        tables = [TruthTable(n, bits) for bits in random_tables(rng, 3, n)]
+        tables += [TruthTable.zeros(n), TruthTable.ones(n)]
+        if n == 6:
+            tables.append(catalog_function("fun_6"))
+        for f in tables:
+            assert np.array_equal(coset_nonlinearities(f), int16_coset_nl(f.bits, n, 0, form_count(n)))
+
+    def test_no_128_point_transform(self, monkeypatch):
+        from rm2cover import affine, claims, core, search
+
+        points = Counter()
+        fwht_rows = core.fwht_rows
+
+        def counting(a):
+            points[a.shape[0]] += 1
+            fwht_rows(a)
+
+        for module in (core, quadratic, affine):
+            monkeypatch.setattr(module, "fwht_rows", counting)
+        quadratic.coset_values.cache_clear()
+        claims.verify_all()
+        f = TruthTable.from_hex(STEP3_TABLE)
+        assert search.exact_nl2_7(f, threshold=41) == (40, False)  # block 0 holds a 40
+        quadratic.coset_values(f)
+        assert points and max(points) <= 64
+
+    def test_int8_transform_takes_at_most_64_points(self):
+        w = np.ones((64, 3), dtype=np.int8)
+        assert quadratic._abs_spectra(w)[:, 0].tolist() == [64] + [0] * 63
+        with pytest.raises(ValueError):
+            quadratic._abs_spectra(np.ones((128, 3), dtype=np.int8))
+        with pytest.raises(ValueError):
+            quadratic._abs_spectra(np.ones((64, 3), dtype=np.int16))
 
 
 def _permuted_values(vals: np.ndarray, matrix, quad_index: int) -> np.ndarray:
@@ -394,17 +499,17 @@ class TestProfiles:
             parities = {r & 1 for r in nfh_profile(t).counts}
             assert parities == {weight(t) & 1}
 
-    def test_profile_reads_the_one_cached_scan(self, block_calls):
+    def test_profile_reads_the_one_cached_scan(self, transforms):
         f = catalog_function("fun_6")
         profile = nfh_profile(f)
-        assert len(block_calls) == 16  # 2^15 cosets in blocks of 2048, each transformed once
-        block_calls.clear()
+        assert transforms == [64] * 16  # 2^15 cosets in blocks of 2048, each transformed once
+        transforms.clear()
         assert nfh_profile(f) == profile
         assert max_nl_over_quadratics(f) == profile.max_r
-        assert block_calls == []  # both read the cached coset values
+        assert transforms == []  # both read the cached coset values
         small = TruthTable.from_int(4, 0x6A3C)
         small_profile = nfh_profile(small)
-        assert len(block_calls) == 1
+        assert transforms == [16]
         expected = np.unique(row_layout_coset_nl(small.bits, 4, 0, 64), return_counts=True)
         assert small_profile.counts == dict(zip(*expected))
 
