@@ -239,9 +239,10 @@ def anf_from_truth_table(t: TruthTable) -> AnfPolynomial:
 
 
 def _moebius(bits: np.ndarray) -> np.ndarray:
-    """XOR butterfly over subset lattice; self-inverse."""
+    """XOR butterfly over subset lattice along the last axis, so the rows
+    of a 2-D array transform independently; self-inverse."""
     a = bits.copy()
-    size = a.shape[0]
+    size = a.shape[-1]
     h = 1
     while h < size:
         b = a.reshape(-1, 2, h)

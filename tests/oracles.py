@@ -8,6 +8,10 @@ layout, one row per coset, with its own sign tables and its own Walsh
 butterflies.  ``derivative_walsh_keys`` and ``third_derivative_weights``
 build the equivalence-search invariants by explicit gathers and a
 Hadamard matrix product, without the library's transform.
+``sorted_row_labels`` is the equivalence search's earlier class
+labelling: sorted third-derivative rows and per-plane histograms, each
+labelled by a void-row ``np.unique``.  ``brute_automorphisms`` tries
+every map of AGL(n, 2) with its own subset-sum ANF transform.
 ``numpy_is_invertible`` is the earlier element-wise GF(2) elimination.
 ``int16_coset_nl`` is the scan's previous block kernel, a direct int16
 sign block of ``2**n`` points per coset (128 at n=7); it shares only
@@ -203,6 +207,51 @@ def third_derivative_weights(bits: np.ndarray, n: int) -> np.ndarray:
         second = da[xor_table] ^ da[None, :]  # row b: derivative along (a, b)
         t[a] = (second[:, xor_table] ^ second[:, None, :]).sum(axis=2, dtype=np.uint8)
     return t
+
+
+def _void_labels(rows: np.ndarray) -> np.ndarray:
+    rows = np.ascontiguousarray(rows)
+    return np.unique(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel(), return_inverse=True)[1]
+
+
+def sorted_row_labels(w1, t1, w2, t2):
+    """``(cls1, cls2, pair1, pair2)`` as the search labelled them before
+    counting: a direction's row is its spectrum row followed by the
+    ``size + 1``-bin histogram of ``t[a]``, a pair's row is ``t[a, b]``
+    sorted, and equal rows on either side share a label."""
+    size = len(t1)
+    directions = np.concatenate(
+        [np.hstack([w, [np.bincount(plane.ravel(), minlength=size + 1) for plane in t]]) for w, t in ((w1, t1), (w2, t2))]
+    )
+    pairs = np.concatenate([np.sort(t, axis=2).reshape(-1, size) for t in (t1, t2)])
+    cls, pair = _void_labels(directions), _void_labels(pairs).reshape(2, size, size)
+    return cls[:size], cls[size:], pair[0], pair[1]
+
+
+def brute_automorphisms(bits: np.ndarray, n: int) -> list[tuple[bytes, int]]:
+    """Every (A, b) with f(Ax + b) + f(x) of degree <= 2, as
+    ``(A.tobytes(), b)`` with A a uint8 matrix and bit i of b its entry
+    i, by trying all of AGL(n, 2) (322,560 maps at n = 4).  A is
+    invertible exactly when it maps the 2^n points to 2^n distinct
+    points; the ANF comes from the subset-sum matrix [y subset of u]."""
+    size = 1 << n
+    codes = np.arange(1 << (n * n))
+    mats = ((codes[:, None] >> np.arange(n * n)) & 1).astype(np.uint8).reshape(-1, n, n)
+    points = (np.arange(size)[:, None] >> np.arange(n)) & 1  # points[p, j]: bit j of point p
+    images = ((np.einsum("mij,pj->mpi", mats, points) & 1) << np.arange(n)).sum(axis=2)
+    invertible = (np.sort(images, axis=1) == np.arange(size)).all(axis=1)
+    mats, images = mats[invertible], images[invertible]
+    u = np.arange(size)
+    subset = ((u[:, None] & u) == u[:, None]).astype(np.uint8)  # subset[y, u]: y is a subset of u
+    deep = np.array([bin(int(a)).count("1") > 2 for a in u])
+    bits = np.asarray(bits, dtype=np.uint8)
+    found = []
+    for b in range(size):
+        diffs = bits[images ^ b] ^ bits
+        anf = (diffs @ subset) & 1
+        for m in np.flatnonzero(~anf[:, deep].any(axis=1)):
+            found.append((mats[m].tobytes(), b))
+    return found
 
 
 def brute_second_order_nl_batch(tables: np.ndarray, n: int) -> np.ndarray:

@@ -1,5 +1,10 @@
 import gc
+import hashlib
+import importlib.util
 import json
+import tracemalloc
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,18 +30,22 @@ from rm2cover.affine import (
     DEFAULT_SEARCH_BUDGET,
     FOUND,
     NOT_FOUND,
+    _class_labels,
     _derivative_invariants,
     _shared_labels,
+    automorphisms,
     sample_affine_map,
 )
 from rm2cover.catalog import catalog_names
 from rm2cover.claims import _random_degree2
 from rm2cover.quadratic import coset_values
 from oracles import (
+    brute_automorphisms,
     derivative_walsh_keys,
     gl2_order_fraction,
     numpy_is_invertible,
     random_tables,
+    sorted_row_labels,
     third_derivative_weights,
 )
 
@@ -262,9 +271,10 @@ def _budget_target():
 # name: (inputs, budget, (status, reason, nodes, witness)), the expected
 # tuple recorded with the gather-based invariants and five block checks
 # per depth.  An exhausted search is reached only with a patched Moebius
-# transform (test_search_exhausted).  The two class multiset checks
-# (derivative classes, pair classes) are reached by no catalog pair,
-# coset member or sampled table tried.
+# transform (test_search_exhausted), and the two class multiset checks
+# (derivative classes, pair classes) only with patched value counts
+# (test_class_multiset_mismatch): no catalog pair, coset member or
+# sampled table tried reaches them.
 PINNED = {
     "degree": (
         lambda: (catalog_function("fun_1"), catalog_function("fun_4")),
@@ -326,11 +336,98 @@ def test_search_pinned(case):
     assert (result.status, result.reason, result.nodes, witness) == expected
 
 
+def _bench_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark's own equiv pairs and coset members."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _digest_cases():
+    workloads = _bench_workloads()
+    equiv = workloads.WORKLOADS["equiv"]
+    for slot in range(equiv.slots):
+        for member in (0, 21, 42, 63):
+            f1, f2, _ = equiv.make_input((slot, member))
+            yield f1, f2, DEFAULT_SEARCH_BUDGET
+    fun_15 = catalog_function("fun_15")
+    for member in range(8):
+        yield fun_15, _member(fun_15, member), DEFAULT_SEARCH_BUDGET
+    # budget-limited: at the first node, in the first levels, deep in a long search
+    yield catalog_function("fun_4"), _budget_target(), 3
+    yield fun_15, _member(fun_15, 3), 200
+    yield fun_15, _member(fun_15, 3), 20000
+
+
+# SHA-256 of the (status, reason, nodes, witness) list of _digest_cases,
+# recorded with the sorted-row class labels and per-candidate checks
+SEARCH_RESULTS_DIGEST = "433513fac192b7e677b3c070ade29a97559ee8faf8974c2ba8fdf125c1046d8c"
+
+
+def test_search_results_digest():
+    records = []
+    for f1, f2, budget in _digest_cases():
+        result = equivalence_search(f1, f2, budget=budget)
+        witness = None if result.witness is None else result.witness.as_json_dict()
+        records.append([result.status, result.reason, result.nodes, witness])
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_RESULTS_DIGEST
+
+
 def test_search_exhausted(monkeypatch):
     # no translation passes, so the backtracking runs to its end
-    monkeypatch.setattr(affine, "_moebius", lambda bits: np.ones(len(bits), dtype=np.uint8))
+    monkeypatch.setattr(affine, "_moebius", lambda bits: np.ones_like(bits))
     result = equivalence_search(_table(4, 0), _table(4, 0))
     assert (result.status, result.reason, result.nodes, result.witness) == (NOT_FOUND, None, 24892, None)
+
+
+def _skewed_counts(skew):
+    """``affine._value_counts`` with ``skew`` applied to the second side's counts."""
+    counts = affine._value_counts
+
+    def patched(t1, t2):
+        h1, h2 = counts(t1, t2)
+        h2 = h2.copy()
+        skew(h2)
+        return h1, h2
+
+    return patched
+
+
+def _recolour_direction(h):
+    # every pair row of direction 1 gains an entry of the first value:
+    # direction 1's histogram changes
+    h[0, :, 1] += 1
+
+
+def _swap_within_direction(h):
+    # an entry of the first value moves between two equal pair rows of
+    # direction 1: its histogram stays, the multiset of pair rows does not.
+    # h is symmetric in its direction axes and the search sums a
+    # direction's histogram over the first of them, so the rows of
+    # direction 1 are taken as h[:, a, 1]
+    rows = h[:, :, 1].T
+    a1, a2 = next(
+        (a1, a2) for a1, a2 in combinations(range(len(rows)), 2) if (rows[a1] == rows[a2]).all() and rows[a2, 0]
+    )
+    h[0, a1, 1] += 1
+    h[0, a2, 1] -= 1
+
+
+@pytest.mark.parametrize(
+    "skew, reason",
+    [
+        (_recolour_direction, "derivative-class multiset mismatch"),
+        (_swap_within_direction, "derivative-pair-class multiset mismatch"),
+    ],
+)
+def test_class_multiset_mismatch(monkeypatch, skew, reason):
+    monkeypatch.setattr(affine, "_value_counts", _skewed_counts(skew))
+    f = catalog_function("fun_4")
+    result = equivalence_search(f, f)
+    assert (result.status, result.reason, result.nodes, result.witness) == (NOT_FOUND, reason, 0, None)
 
 
 def test_found_search_leaves_no_reference_cycle():
@@ -379,6 +476,7 @@ class TestDerivativeInvariants:
         assert all(np.array_equal(t, t.transpose(p)) for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0)))
         diag = np.arange(1 << f.n)
         assert not t[diag, diag].any() and not t[0].any()
+        assert not (t % 8).any()  # what keeps _class_labels' pair codes within int64
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_matches_gather_oracles(self, name):
@@ -388,3 +486,71 @@ class TestDerivativeInvariants:
     def test_random_tables_match_gather_oracles(self, n):
         for bits in random_tables(np.random.default_rng(n), 3, n):
             self.check(TruthTable(n, bits))
+
+
+def _same_partition(labels, oracle):
+    """Equal labels exactly where the oracle's labels are equal."""
+    pairs = set(zip(labels.ravel().tolist(), oracle.ravel().tolist()))
+    return len(pairs) == len(set(labels.ravel().tolist())) == len(set(oracle.ravel().tolist()))
+
+
+class TestClassLabels:
+    """The counted direction and pair labels partition directions and pairs
+    as the sorted-row labels did."""
+
+    @staticmethod
+    def check(inv1, inv2):
+        cls1, cls2, pair1, pair2 = _class_labels(*inv1, *inv2)
+        ocls1, ocls2, opair1, opair2 = sorted_row_labels(*inv1, *inv2)
+        assert _same_partition(np.concatenate([cls1, cls2]), np.concatenate([ocls1, ocls2]))
+        assert _same_partition(np.stack([pair1, pair2]), np.stack([opair1, opair2]))
+
+    def test_every_catalog_pair(self):
+        invariants = [_derivative_invariants(catalog_function(name)) for name in catalog_names()]
+        for i, inv1 in enumerate(invariants):
+            for inv2 in invariants[i:]:
+                self.check(inv1, inv2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_tables(self, n):
+        tables = [TruthTable(n, bits) for bits in random_tables(np.random.default_rng(30 + n), 8, n)]
+        tables = [f for f in tables if degree(f) > 2]  # the search labels no others
+        assert len(tables) > 2
+        for f1, f2 in zip(tables, tables[1:]):
+            self.check(_derivative_invariants(f1), _derivative_invariants(f2))
+            self.check(_derivative_invariants(f1), _derivative_invariants(_member(f1, n)))
+
+
+def test_found_search_memory_peak():
+    # the cube check runs one survivor at a time; batched over the fresh
+    # candidates of a depth, it gathers up to 63 x 2^d x 4^(d+1) entries
+    # at once and peaks at about 7 MB here
+    f = catalog_function("fun_4")
+    target = _member(f, 5)
+    coset_values(f)  # the cached scan of f1 is not part of the search
+    tracemalloc.start()
+    try:
+        assert equivalence_search(f, target).status == FOUND
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_match_brute_force_over_agl4(self, seed):
+        # every witness has passed its own substitution check
+        f = _table(4, seed)
+        found = [(w.map.matrix.tobytes(), int(w.map.offset @ (1 << np.arange(4)))) for w in automorphisms(f)]
+        assert len(found) == len(set(found))
+        assert sorted(found) == sorted(brute_automorphisms(f.bits, 4))
+
+    def test_order_starts_with_the_search_witness(self):
+        f = _table(4, 0)
+        first = next(automorphisms(f))
+        assert first.as_json_dict() == equivalence_search(f, f).witness.as_json_dict()
+
+    def test_degree2_rejected(self):
+        with pytest.raises(ValueError, match="every affine map"):
+            automorphisms(catalog_function("fun_4") ^ catalog_function("fun_4"))
