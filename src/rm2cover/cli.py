@@ -12,6 +12,7 @@ only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -48,20 +49,25 @@ def resolve_function(spec: str, n: int | None = None) -> TruthTable:
     return truth_table_from_anf(AnfPolynomial.from_string(spec, n=n))
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout, or a temp file next to ``path`` that replaces it when the block exits normally."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rm2cover-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".rm2cover-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _output(path) as handle:
+        handle.write(text)
 
 
 def _profile_text(profile: quadratic.NlProfile, fmt: str) -> str:
@@ -217,25 +223,17 @@ def _cmd_concat_check(args) -> int:
 def _cmd_search(args) -> int:
     cfg = search.SearchConfig(i1=args.i1, i2=args.i2, seed=args.seed, budget=args.budget, threads=args.threads)
     print(f"search i1={cfg.i1} i2={cfg.i2} seed={cfg.seed} budget={cfg.budget}", file=sys.stderr)
-    lines: list[str] = []
-    sink = lines.append if args.out else None
+    with _output(args.out) as out:
+        def on_record(record):
+            out.write(json.dumps(record.as_json_dict()) + "\n")
 
-    def on_record(record):
-        text = json.dumps(record.as_json_dict())
-        if sink:
-            sink(text)
-        else:
-            print(text)
-
-    try:
-        summary = search.witness_search(cfg, on_record=on_record)
-    except search.FilterContradiction as exc:
-        print(f"FILTER CONTRADICTION: {exc}", file=sys.stderr)
-        if args.out:  # the records so far, then the contradicting candidate
-            _write_text(args.out, "\n".join([*lines, json.dumps(exc.record.as_json_dict())]) + "\n")
-        return 2
-    if args.out:
-        _write_text(args.out, "\n".join(lines) + "\n")
+        try:
+            summary = search.witness_search(cfg, on_record=on_record)
+        except search.FilterContradiction as exc:
+            print(f"FILTER CONTRADICTION: {exc}", file=sys.stderr)
+            if args.out:  # the records so far, then the contradicting candidate
+                on_record(exc.record)
+            return 2
     print(json.dumps({"summary": summary.as_json_dict()}))
     return 0
 

@@ -9,7 +9,8 @@ passing candidate is confirmed by the exact nl2 computation.  Per the
 characterisation, a pass must yield exactly 42 and a failure at most 40
 — any counterexample is refutation-grade and aborts the run with a full
 candidate dump.  The exact check's early-exit threshold is fixed at
-:data:`EXACT_CHECK_THRESHOLD`.
+:data:`EXACT_CHECK_THRESHOLD`.  Records are emitted as each candidate
+is decided, so a long run streams its output.
 
 Condition 2 needs the coset-value array of each candidate half.  The
 half lies in fun_i2's affine orbit modulo degree 2, so its array is
@@ -76,6 +77,7 @@ class SearchConfig:
     seed: int = 0
     budget: int = 50  # number of (A, b, g) candidates to sample
     fail_check_rate: int = 100  # exact-check every k-th condition-2 failure (at EXACT_CHECK_THRESHOLD)
+    # not faster on 2 cores; kept only because perfbench sets it
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -123,11 +125,11 @@ class SearchSummary:
     i1: int
     i2: int
     seed: int
-    candidates: int
-    cond2_passes: int
-    exact_checked: int
-    max_nl2_exact: int | None
-    witnesses: int
+    candidates: int = 0
+    cond2_passes: int = 0
+    exact_checked: int = 0
+    max_nl2_exact: int | None = None
+    witnesses: int = 0
 
     def as_json_dict(self) -> dict:
         return dict(self.__dict__)
@@ -174,22 +176,27 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
     Condition 2 compares fun_i1's cached coset values with the half's,
     which are fun_i2's cached values permuted by the candidate's map and
     q_k; only exact checks build the half's truth table.
+    One pass: with one thread each candidate is drawn, filtered,
+    exact-checked when due and handed to ``on_record`` before the next
+    is drawn, so the first record comes after one candidate's time and
+    memory does not grow with the budget.  With ``threads > 1``,
+    ``ThreadPoolExecutor.map`` submits, and so draws, every candidate up
+    front; records still come in candidate order as each is decided.
     Deterministic for a fixed (seed, budget); thread count affects
     neither the candidate stream nor the records.  Condition-2 passes
     are always exact-checked; failures are cross-checked at the
-    configured 1-in-k rate.  Returns the run summary; records stream
-    through ``on_record`` in candidate order.
+    configured 1-in-k rate.  Returns the run summary.
     """
-    rng = np.random.default_rng(cfg.seed)
-    params = []
-    for k in range(cfg.budget):
-        m = sample_affine_map(6, rng)
-        params.append((k, m, int(rng.integers(0, quadratic.form_count(6))), int(rng.integers(0, 64))))
-
     f1 = catalog_function(f"fun_{cfg.i1}")
     vals1 = quadratic.coset_values(f1)
     f2 = catalog_function(f"fun_{cfg.i2}")
     vals2 = quadratic.coset_values(f2)
+    rng = np.random.default_rng(cfg.seed)
+
+    def draws():
+        for k in range(cfg.budget):
+            m = sample_affine_map(6, rng)
+            yield k, m, int(rng.integers(0, quadratic.form_count(6))), int(rng.integers(0, 64))
 
     def evaluate(param) -> SearchRecord:
         k, m, quad_index, linear_mask = param
@@ -202,47 +209,32 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
         failed = [r for r in relations if not r["holds"]]
         return SearchRecord(k, m, quad_index, linear_mask, cond2_pass=not failed, failed_relations=failed)
 
-    if cfg.threads == 1:
-        records = [evaluate(p) for p in params]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(evaluate, params))
-
+    summary = SearchSummary(cfg.i1, cfg.i2, cfg.seed)
     fails_seen = 0
-    exact_checked = 0
-    max_exact: int | None = None
-    witnesses = 0
-    for record in records:
-        check = record.cond2_pass
-        if not record.cond2_pass:
-            if fails_seen % cfg.fail_check_rate == 0:
-                check = True
-            fails_seen += 1
-        if check:
-            half = apply_affine(f2, record.map) ^ quadratic.degree2_table(6, record.quad_index, record.linear_mask)
-            result = exact_nl2_7(concatenate(f1, half), threshold=EXACT_CHECK_THRESHOLD)
-            record.nl2_value, record.nl2_exact = result.value, result.exact
-            exact_checked += 1
-            if result.exact:
-                max_exact = result.value if max_exact is None else max(max_exact, result.value)
-                if result.value > 42:
-                    raise FilterContradiction("exact nl2 above the stated global bound 42", record)
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        for record in (pool.map if cfg.threads > 1 else map)(evaluate, draws()):
+            summary.candidates += 1
             if record.cond2_pass:
-                if not (result.exact and result.value == 42):
-                    raise FilterContradiction("condition-2 pass without exact nl2 = 42", record)
-                witnesses += 1
-            elif result.exact and result.value > 40:
-                raise FilterContradiction("condition-2 failure with nl2 above 40", record)
-        if on_record is not None:
-            on_record(record)
-
-    return SearchSummary(
-        i1=cfg.i1,
-        i2=cfg.i2,
-        seed=cfg.seed,
-        candidates=len(records),
-        cond2_passes=sum(1 for r in records if r.cond2_pass),
-        exact_checked=exact_checked,
-        max_nl2_exact=max_exact,
-        witnesses=witnesses,
-    )
+                summary.cond2_passes += 1
+                check = True
+            else:
+                check = fails_seen % cfg.fail_check_rate == 0
+                fails_seen += 1
+            if check:
+                half = apply_affine(f2, record.map) ^ quadratic.degree2_table(6, record.quad_index, record.linear_mask)
+                result = exact_nl2_7(concatenate(f1, half), threshold=EXACT_CHECK_THRESHOLD)
+                record.nl2_value, record.nl2_exact = result.value, result.exact
+                summary.exact_checked += 1
+                if result.exact:
+                    summary.max_nl2_exact = max(summary.max_nl2_exact or 0, result.value)
+                    if result.value > 42:
+                        raise FilterContradiction("exact nl2 above the stated global bound 42", record)
+                if record.cond2_pass:
+                    if not (result.exact and result.value == 42):
+                        raise FilterContradiction("condition-2 pass without exact nl2 = 42", record)
+                    summary.witnesses += 1
+                elif result.exact and result.value > 40:
+                    raise FilterContradiction("condition-2 failure with nl2 above 40", record)
+            if on_record is not None:
+                on_record(record)
+    return summary

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from collections import Counter
 
@@ -160,6 +161,26 @@ class TestSearchCommand:
         assert code == 2 and "Traceback" not in err
         dump = json.loads(target.read_text().splitlines()[-1])
         assert dump["nl2_value"] == 43 and dump["nl2_exact"] is True
+
+    def test_failed_search_keeps_existing_out_file(self, capsys, monkeypatch, tmp_path):
+        # records stream into a temp file, which replaces --out only when the run ends normally
+        from rm2cover import search
+
+        calls = itertools.count()
+        relations = search.condition2_relations
+
+        def failing_relations(vals1, vals2):
+            if next(calls) == 2:
+                raise RuntimeError("injected failure after 2 records")
+            return relations(vals1, vals2)
+
+        monkeypatch.setattr(search, "condition2_relations", failing_relations)
+        target = tmp_path / "records.jsonl"
+        target.write_bytes(b"previous run\n")
+        with pytest.raises(RuntimeError, match="injected"):
+            run(["search", "--i1", "4", "--i2", "6", "--seed", "5", "--budget", "5", "--out", str(target)])
+        assert target.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 
     def test_search_stdout_pinned(self, capsys):
         # SHA-256 of the 20 JSONL records and the summary, recorded when each

@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import json
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -165,3 +168,54 @@ class TestWitnessSearch:
             assert len(payload["A"]) == 6
             assert 0 <= payload["g_quad_index"] < form_count(6)
             assert payload["cond2_pass"] == (not payload["failed_relations"])
+
+
+class TestStreaming:
+    def test_each_record_follows_its_own_draw(self, monkeypatch):
+        from rm2cover import search
+
+        draws = []
+        sample = search.sample_affine_map
+        monkeypatch.setattr(search, "sample_affine_map", lambda n, rng: draws.append(n) or sample(n, rng))
+        seen = []
+        witness_search(SearchConfig(i1=4, i2=6, seed=1, budget=20), on_record=lambda r: seen.append(len(draws)))
+        assert seen == list(range(1, 21))
+
+    def test_memory_flat_in_budget(self):
+        # about 2.6 KB per candidate were held until the end when every
+        # candidate was drawn and filtered before the first record
+        cfg = SearchConfig(i1=4, i2=6, seed=1, budget=1000)
+        witness_search(SearchConfig(i1=4, i2=6, seed=1, budget=2))  # warm the coset-value caches
+        tracemalloc.start()
+        try:
+            witness_search(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_threads_agree_up_to_a_contradiction(self, monkeypatch):
+        # the third exact check contradicts; the pool's workers are still
+        # evaluating later candidates when the exception propagates
+        from rm2cover import search
+
+        exact = search.exact_nl2_7
+        baseline = threading.active_count()
+
+        def run(threads):
+            calls = itertools.count()
+            monkeypatch.setattr(
+                search,
+                "exact_nl2_7",
+                lambda f, threshold=None: exact(f, threshold) if next(calls) < 2 else search.Nl2Result(43, True),
+            )
+            records = []
+            cfg = SearchConfig(i1=4, i2=6, seed=5, budget=40, fail_check_rate=1, threads=threads)
+            with pytest.raises(search.FilterContradiction) as info:
+                witness_search(cfg, on_record=records.append)
+            return [r.as_json_dict() for r in records + [info.value.record]]
+
+        one = run(1)
+        assert len(one) == 3 and one[-1]["nl2_value"] == 43
+        assert run(2) == one
+        assert threading.active_count() == baseline
