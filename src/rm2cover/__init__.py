@@ -33,6 +33,7 @@ from .affine import (
 )
 from .quadratic import (
     FhSet,
+    Nl2Result,
     NlProfile,
     QuadraticForm,
     coset_nonlinearities,
@@ -57,7 +58,7 @@ from .claims import (
     verify_profile_claims,
     verify_remark_1,
 )
-from .search import Nl2Result, SearchConfig, SearchRecord, SearchSummary, exact_nl2_7, witness_search
+from .search import SearchConfig, SearchRecord, SearchSummary, exact_nl2_7, witness_search
 
 __version__ = "0.1.0"
 

@@ -276,12 +276,9 @@ def _witnesses(f1: TruthTable, f2: TruthTable, budget: float, nodes: list[int]) 
 
     # refine per-direction and per-pair classes with derivative-cube
     # marginals (the remaining arguments range over everything, so a
-    # witness bijection preserves these histograms)
+    # witness bijection preserves these histograms); a class or pair
+    # label that differs prunes every candidate below
     cls1, cls2, pair1, pair2 = _class_labels(w1, t1, w2, t2)
-    if sorted(cls1[1:].tolist()) != sorted(cls2[1:].tolist()):
-        raise _Rejected("derivative-class multiset mismatch")
-    if not np.array_equal(np.sort(pair1, axis=None), np.sort(pair2, axis=None)):
-        raise _Rejected("derivative-pair-class multiset mismatch")
 
     # candidate images of basis vectors, grouped by derivative class
     candidates_by_class = {int(c): np.flatnonzero(cls1[1:] == c) + 1 for c in np.unique(cls1[1:])}

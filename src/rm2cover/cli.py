@@ -142,7 +142,6 @@ def build_parser() -> _Parser:
     p.add_argument("--i2", type=int, choices=(4, 6), required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=50)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="write one record per line (jsonl) to this path")
 
     p = sub.add_parser("verify-all", help="recompute and verify every registered claim")
@@ -221,7 +220,7 @@ def _cmd_concat_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cfg = search.SearchConfig(i1=args.i1, i2=args.i2, seed=args.seed, budget=args.budget, threads=args.threads)
+    cfg = search.SearchConfig(i1=args.i1, i2=args.i2, seed=args.seed, budget=args.budget)
     print(f"search i1={cfg.i1} i2={cfg.i2} seed={cfg.seed} budget={cfg.budget}", file=sys.stderr)
     with _output(args.out) as out:
         def on_record(record):

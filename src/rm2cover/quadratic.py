@@ -38,8 +38,9 @@ scan returns (see :func:`min_coset_nonlinearity`) in three steps:
    return at the first block whose minimum is below the threshold;
 2. otherwise, if ``min s`` is not below the threshold, it is the exact
    minimum;
-3. otherwise scan the later blocks, in index order, and return the
-   first block minimum below the threshold.
+3. otherwise scan on from the end of step 1, in index order, and
+   return the first block minimum below the threshold; steps 1 and 3
+   are one scan, so step 3 reuses the q-ranges step 1 transformed.
 
 The scan is vectorised.  At n <= 6 the signs of ``f + q`` for a block
 of 2048 consecutive indices are built from two cached sign tables (low
@@ -67,7 +68,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -399,7 +400,15 @@ def _first_below(blocks: Iterator[np.ndarray], threshold: int) -> int | None:
     return None
 
 
-def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> tuple[int, bool]:
+class Nl2Result(NamedTuple):
+    """value is exact when ``exact``; otherwise an upper bound proving
+    the minimum lies below the requested threshold."""
+
+    value: int
+    exact: bool
+
+
+def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> Nl2Result:
     """Minimum of nl(f + q) over all quadratics q.
 
     At n >= 3 this is min over (n-1)-variable forms q of
@@ -410,7 +419,7 @@ def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> tuple
     With ``threshold`` the result is that of a direct block-by-block
     scan stopped at the end of the first block whose running minimum is
     below it: that block's minimum, an upper bound proving the minimum
-    is below the threshold (second element False).  It is found in three
+    is below the threshold (``exact`` False).  It is found in three
     steps: (1) scan the whole blocks among the first ``form_count(n - 1)``
     indices block by block; (2) else return ``min s`` as exact if it is
     not below the threshold; (3) else scan the later blocks, in index
@@ -418,19 +427,19 @@ def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> tuple
     """
     if f.n < 3:  # one block, and 1-variable halves have no quadratic forms
         best = int(coset_nonlinearities(f).min())
-        return best, threshold is None or best >= threshold
-    low_bits = _low_bits(f.n)
-    head = form_count(f.n - 1) >> low_bits  # 16 blocks at n = 7, none below
-    if threshold is not None and head:
-        best = _first_below(_scan(f, 0, head << low_bits), threshold)
+        return Nl2Result(best, threshold is None or best >= threshold)
+    if threshold is not None:
+        blocks = _scan(f)
+        head = form_count(f.n - 1) >> _low_bits(f.n)  # 16 blocks at n = 7, none below
+        best = _first_below(itertools.islice(blocks, head), threshold)
         if best is not None:
-            return best, False
+            return Nl2Result(best, False)
     f1, f2 = split(f)
     s = coset_nonlinearities(f1) + coset_nonlinearities(f2)  # below 2**(n-1): fits uint8
     best = int(s.min())
     if threshold is None or best >= threshold:
-        return best, True
-    return _first_below(_scan(f, head << low_bits), threshold), False
+        return Nl2Result(best, True)
+    return Nl2Result(_first_below(blocks, threshold), False)
 
 
 def second_order_nonlinearity(f: TruthTable) -> int:
@@ -439,7 +448,7 @@ def second_order_nonlinearity(f: TruthTable) -> int:
     Minimising nl(f + q) over homogeneous quadratics q suffices: nl
     already minimises over the affine part of the degree-2 coset.
     """
-    return min_coset_nonlinearity(f)[0]
+    return min_coset_nonlinearity(f).value
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")

@@ -9,8 +9,9 @@ passing candidate is confirmed by the exact nl2 computation.  Per the
 characterisation, a pass must yield exactly 42 and a failure at most 40
 — any counterexample is refutation-grade and aborts the run with a full
 candidate dump.  The exact check's early-exit threshold is fixed at
-:data:`EXACT_CHECK_THRESHOLD`.  Records are emitted as each candidate
-is decided, so a long run streams its output.
+:data:`EXACT_CHECK_THRESHOLD`.  One loop draws, filters, checks and
+emits each candidate before drawing the next, so a long run streams its
+output and its memory does not grow with the budget.
 
 Condition 2 needs the coset-value array of each candidate half.  The
 half lies in fun_i2's affine orbit modulo degree 2, so its array is
@@ -28,9 +29,8 @@ concatenation actually built; it does not test the theorem itself.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -38,18 +38,11 @@ from . import quadratic
 from .affine import AffineMap, sample_affine_map, apply_affine
 from .catalog import catalog_function
 from .core import TruthTable, concatenate
+from .quadratic import Nl2Result
 
 # early-exit bound of every exact check: a pass must be confirmable as
 # exactly 42, and a non-exact result already proves nl2 < 41
 EXACT_CHECK_THRESHOLD = 41
-
-
-class Nl2Result(NamedTuple):
-    """value is exact when ``exact``; otherwise an upper bound proving
-    the minimum lies below the requested threshold."""
-
-    value: int
-    exact: bool
 
 
 def exact_nl2_7(f: TruthTable, threshold: int | None = None) -> Nl2Result:
@@ -66,8 +59,7 @@ def exact_nl2_7(f: TruthTable, threshold: int | None = None) -> Nl2Result:
     """
     if f.n != 7:
         raise ValueError(f"the exact kernel is for n=7, got n={f.n}")
-    value, exact = quadratic.min_coset_nonlinearity(f, threshold=threshold)
-    return Nl2Result(value, exact)
+    return quadratic.min_coset_nonlinearity(f, threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ class SearchConfig:
     seed: int = 0
     budget: int = 50  # number of (A, b, g) candidates to sample
     fail_check_rate: int = 100  # exact-check every k-th condition-2 failure (at EXACT_CHECK_THRESHOLD)
-    # not faster on 2 cores; kept only because perfbench sets it
+    # selects nothing: the search runs one loop; kept only because perfbench passes it
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -176,16 +168,13 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
     Condition 2 compares fun_i1's cached coset values with the half's,
     which are fun_i2's cached values permuted by the candidate's map and
     q_k; only exact checks build the half's truth table.
-    One pass: with one thread each candidate is drawn, filtered,
-    exact-checked when due and handed to ``on_record`` before the next
-    is drawn, so the first record comes after one candidate's time and
-    memory does not grow with the budget.  With ``threads > 1``,
-    ``ThreadPoolExecutor.map`` submits, and so draws, every candidate up
-    front; records still come in candidate order as each is decided.
-    Deterministic for a fixed (seed, budget); thread count affects
-    neither the candidate stream nor the records.  Condition-2 passes
-    are always exact-checked; failures are cross-checked at the
-    configured 1-in-k rate.  Returns the run summary.
+    One pass: each candidate is drawn, filtered, exact-checked when due
+    and handed to ``on_record`` before the next is drawn, so the first
+    record comes after one candidate's time and memory does not grow
+    with the budget.  Deterministic for a fixed (seed, budget); the
+    ``threads`` setting selects nothing.  Condition-2 passes are always
+    exact-checked; failures are cross-checked at the configured 1-in-k
+    rate.  Returns the run summary.
     """
     f1 = catalog_function(f"fun_{cfg.i1}")
     vals1 = quadratic.coset_values(f1)
@@ -193,48 +182,44 @@ def witness_search(cfg: SearchConfig, on_record: Callable[[SearchRecord], None] 
     vals2 = quadratic.coset_values(f2)
     rng = np.random.default_rng(cfg.seed)
 
-    def draws():
-        for k in range(cfg.budget):
-            m = sample_affine_map(6, rng)
-            yield k, m, int(rng.integers(0, quadratic.form_count(6))), int(rng.integers(0, 64))
-
-    def evaluate(param) -> SearchRecord:
-        k, m, quad_index, linear_mask = param
+    # its own scope, so the permutation and the permuted array are freed before the next draw
+    def evaluate(k: int, m: AffineMap, quad_index: int, linear_mask: int) -> SearchRecord:
         # the half fun_i2(Ax+b) + q_k + l has at S_A[p] ^ k the value of fun_i2 at p
         target = quadratic.form_map(m.matrix)
         target ^= quad_index
         vals_half = np.empty_like(vals2)
         vals_half[target] = vals2
-        relations = condition2_relations(vals1, vals_half)
-        failed = [r for r in relations if not r["holds"]]
+        failed = [r for r in condition2_relations(vals1, vals_half) if not r["holds"]]
         return SearchRecord(k, m, quad_index, linear_mask, cond2_pass=not failed, failed_relations=failed)
 
     summary = SearchSummary(cfg.i1, cfg.i2, cfg.seed)
     fails_seen = 0
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for record in (pool.map if cfg.threads > 1 else map)(evaluate, draws()):
-            summary.candidates += 1
+    for k in range(cfg.budget):
+        m = sample_affine_map(6, rng)
+        quad_index = int(rng.integers(0, quadratic.form_count(6)))
+        record = evaluate(k, m, quad_index, int(rng.integers(0, 64)))
+        summary.candidates += 1
+        if record.cond2_pass:
+            summary.cond2_passes += 1
+            check = True
+        else:
+            check = fails_seen % cfg.fail_check_rate == 0
+            fails_seen += 1
+        if check:
+            half = apply_affine(f2, record.map) ^ quadratic.degree2_table(6, record.quad_index, record.linear_mask)
+            result = exact_nl2_7(concatenate(f1, half), threshold=EXACT_CHECK_THRESHOLD)
+            record.nl2_value, record.nl2_exact = result.value, result.exact
+            summary.exact_checked += 1
+            if result.exact:
+                summary.max_nl2_exact = max(summary.max_nl2_exact or 0, result.value)
+                if result.value > 42:
+                    raise FilterContradiction("exact nl2 above the stated global bound 42", record)
             if record.cond2_pass:
-                summary.cond2_passes += 1
-                check = True
-            else:
-                check = fails_seen % cfg.fail_check_rate == 0
-                fails_seen += 1
-            if check:
-                half = apply_affine(f2, record.map) ^ quadratic.degree2_table(6, record.quad_index, record.linear_mask)
-                result = exact_nl2_7(concatenate(f1, half), threshold=EXACT_CHECK_THRESHOLD)
-                record.nl2_value, record.nl2_exact = result.value, result.exact
-                summary.exact_checked += 1
-                if result.exact:
-                    summary.max_nl2_exact = max(summary.max_nl2_exact or 0, result.value)
-                    if result.value > 42:
-                        raise FilterContradiction("exact nl2 above the stated global bound 42", record)
-                if record.cond2_pass:
-                    if not (result.exact and result.value == 42):
-                        raise FilterContradiction("condition-2 pass without exact nl2 = 42", record)
-                    summary.witnesses += 1
-                elif result.exact and result.value > 40:
-                    raise FilterContradiction("condition-2 failure with nl2 above 40", record)
-            if on_record is not None:
-                on_record(record)
+                if not (result.exact and result.value == 42):
+                    raise FilterContradiction("condition-2 pass without exact nl2 = 42", record)
+                summary.witnesses += 1
+            elif result.exact and result.value > 40:
+                raise FilterContradiction("condition-2 failure with nl2 above 40", record)
+        if on_record is not None:
+            on_record(record)
     return summary

@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,16 @@ sys.path.insert(0, os.path.dirname(__file__))  # make oracles importable
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark's own inputs and checks."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_configure(config):

@@ -1,10 +1,8 @@
 import gc
 import hashlib
-import importlib.util
 import json
 import tracemalloc
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,10 +269,7 @@ def _budget_target():
 # name: (inputs, budget, (status, reason, nodes, witness)), the expected
 # tuple recorded with the gather-based invariants and five block checks
 # per depth.  An exhausted search is reached only with a patched Moebius
-# transform (test_search_exhausted), and the two class multiset checks
-# (derivative classes, pair classes) only with patched value counts
-# (test_class_multiset_mismatch): no catalog pair, coset member or
-# sampled table tried reaches them.
+# transform (test_search_exhausted).
 PINNED = {
     "degree": (
         lambda: (catalog_function("fun_1"), catalog_function("fun_4")),
@@ -336,17 +331,7 @@ def test_search_pinned(case):
     assert (result.status, result.reason, result.nodes, witness) == expected
 
 
-def _bench_workloads():
-    """perfbench/workloads.py, loaded by path: the benchmark's own equiv pairs and coset members."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _digest_cases():
-    workloads = _bench_workloads()
+def _digest_cases(workloads):
     equiv = workloads.WORKLOADS["equiv"]
     for slot in range(equiv.slots):
         for member in (0, 21, 42, 63):
@@ -366,9 +351,9 @@ def _digest_cases():
 SEARCH_RESULTS_DIGEST = "433513fac192b7e677b3c070ade29a97559ee8faf8974c2ba8fdf125c1046d8c"
 
 
-def test_search_results_digest():
+def test_search_results_digest(bench_workloads):
     records = []
-    for f1, f2, budget in _digest_cases():
+    for f1, f2, budget in _digest_cases(bench_workloads):
         result = equivalence_search(f1, f2, budget=budget)
         witness = None if result.witness is None else result.witness.as_json_dict()
         records.append([result.status, result.reason, result.nodes, witness])
@@ -416,18 +401,14 @@ def _swap_within_direction(h):
     h[0, a2, 1] -= 1
 
 
-@pytest.mark.parametrize(
-    "skew, reason",
-    [
-        (_recolour_direction, "derivative-class multiset mismatch"),
-        (_swap_within_direction, "derivative-pair-class multiset mismatch"),
-    ],
-)
-def test_class_multiset_mismatch(monkeypatch, skew, reason):
+@pytest.mark.parametrize("skew, nodes", [(_recolour_direction, 0), (_swap_within_direction, 48)])
+def test_class_multiset_mismatch(monkeypatch, skew, nodes):
+    # no invariant check compares the class multisets: the skewed labels
+    # prune every candidate, so the search ends not found
     monkeypatch.setattr(affine, "_value_counts", _skewed_counts(skew))
     f = catalog_function("fun_4")
     result = equivalence_search(f, f)
-    assert (result.status, result.reason, result.nodes, result.witness) == (NOT_FOUND, reason, 0, None)
+    assert (result.status, result.reason, result.nodes, result.witness) == (NOT_FOUND, None, nodes, None)
 
 
 def test_found_search_leaves_no_reference_cycle():

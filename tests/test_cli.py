@@ -259,6 +259,12 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("usage error:") and "Traceback" not in err
 
+    def test_search_has_no_threads_option(self, capsys):
+        # the search runs one loop whatever SearchConfig.threads says
+        code, out, err = invoke(capsys, "search", "--i1", "4", "--i2", "6", "--threads", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "--threads" in err and "Traceback" not in err
+
     def test_unparseable_function(self, capsys):
         code, _, err = invoke(capsys, "nl2", "zzz")
         assert code == 1 and "error" in err

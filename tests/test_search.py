@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -56,6 +57,16 @@ class TestExactKernel:
             f = TruthTable(7, rng.integers(0, 2, size=128, dtype=np.uint8))
             result = exact_nl2_7(f, threshold=45)
             assert result.value <= 44
+
+    def test_one_result_type(self):
+        import rm2cover
+        from rm2cover import quadratic, search
+
+        f = concatenate(catalog_function("fun_4"), catalog_function("fun_6"))
+        assert search.Nl2Result is quadratic.Nl2Result is rm2cover.Nl2Result
+        for threshold in (None, 33, 32):
+            assert type(quadratic.min_coset_nonlinearity(f, threshold)) is search.Nl2Result
+            assert type(exact_nl2_7(f, threshold)) is search.Nl2Result
 
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError):
@@ -174,33 +185,37 @@ class TestStreaming:
     def test_each_record_follows_its_own_draw(self, monkeypatch):
         from rm2cover import search
 
+        # and no thread is started, whatever the threads setting
         draws = []
         sample = search.sample_affine_map
         monkeypatch.setattr(search, "sample_affine_map", lambda n, rng: draws.append(n) or sample(n, rng))
-        seen = []
-        witness_search(SearchConfig(i1=4, i2=6, seed=1, budget=20), on_record=lambda r: seen.append(len(draws)))
-        assert seen == list(range(1, 21))
+        baseline = threading.active_count()
+        for threads in (1, 2):
+            draws.clear()
+            seen = []
+            cfg = SearchConfig(i1=4, i2=6, seed=1, budget=20, threads=threads)
+            witness_search(cfg, on_record=lambda r: seen.append((len(draws), threading.active_count())))
+            assert seen == [(k, baseline) for k in range(1, 21)]
 
     def test_memory_flat_in_budget(self):
         # about 2.6 KB per candidate were held until the end when every
         # candidate was drawn and filtered before the first record
-        cfg = SearchConfig(i1=4, i2=6, seed=1, budget=1000)
         witness_search(SearchConfig(i1=4, i2=6, seed=1, budget=2))  # warm the coset-value caches
-        tracemalloc.start()
-        try:
-            witness_search(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                witness_search(SearchConfig(i1=4, i2=6, seed=1, budget=1000, threads=threads))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_threads_agree_up_to_a_contradiction(self, monkeypatch):
-        # the third exact check contradicts; the pool's workers are still
-        # evaluating later candidates when the exception propagates
+        # the third exact check contradicts; no candidate after it is drawn
         from rm2cover import search
 
         exact = search.exact_nl2_7
-        baseline = threading.active_count()
+        sample = search.sample_affine_map
 
         def run(threads):
             calls = itertools.count()
@@ -209,13 +224,25 @@ class TestStreaming:
                 "exact_nl2_7",
                 lambda f, threshold=None: exact(f, threshold) if next(calls) < 2 else search.Nl2Result(43, True),
             )
+            draws = []
+            monkeypatch.setattr(search, "sample_affine_map", lambda n, rng: draws.append(n) or sample(n, rng))
             records = []
             cfg = SearchConfig(i1=4, i2=6, seed=5, budget=40, fail_check_rate=1, threads=threads)
             with pytest.raises(search.FilterContradiction) as info:
                 witness_search(cfg, on_record=records.append)
+            assert len(draws) == len(records) + 1
             return [r.as_json_dict() for r in records + [info.value.record]]
 
         one = run(1)
         assert len(one) == 3 and one[-1]["nl2_value"] == 43
         assert run(2) == one
-        assert threading.active_count() == baseline
+
+
+def test_benchmark_thread_setting_changes_nothing(bench_workloads):
+    # perfbench/workloads.py builds SearchConfig with threads=1 and run.py
+    # replaces it by 2, so removing the field must fail here first
+    workload = bench_workloads.Search()
+    cfg = workload.make_input((1, 3))
+    one, two = (workload.run(c) for c in (cfg, dataclasses.replace(cfg, threads=2)))
+    assert bench_workloads.digest(workload.canonical(one)) == bench_workloads.digest(workload.canonical(two))
+    assert workload.check(cfg, two) == []
