@@ -136,6 +136,14 @@ class EquivalenceWitness:
         return d
 
 
+def _checked(witness: EquivalenceWitness, f1: TruthTable, f2: TruthTable) -> EquivalenceWitness:
+    """witness, once it maps f1 to f2; the check is explicit, so it also
+    runs under python -O."""
+    if witness.substitute(f1) != f2:
+        raise RuntimeError(f"equivalence witness fails its own check: {witness.as_json_dict()}")
+    return witness
+
+
 @dataclass(frozen=True)
 class EquivalenceResult:
     status: str  # FOUND / NOT_FOUND / BUDGET_EXHAUSTED
@@ -307,10 +315,7 @@ def _witnesses(f1: TruthTable, f2: TruthTable, budget: float, nodes: list[int]) 
                     continue
                 a = (img[1 << bit] >> bit[:, None]) & 1
                 g = anf_from_truth_table(TruthTable(n, diff))
-                witness = EquivalenceWitness(AffineMap(n, a, (b >> bit) & 1), g)
-                if witness.substitute(f1) != f2:
-                    raise RuntimeError(f"equivalence witness fails its own check: {witness.as_json_dict()}")
-                yield witness
+                yield _checked(EquivalenceWitness(AffineMap(n, a, (b >> bit) & 1), g), f1, f2)
             return
         new = slice(1 << depth, 2 << depth)
         full = slice(0, 2 << depth)
@@ -372,7 +377,7 @@ def equivalence_search(
     if not degree1:
         # both functions are within degree 2 of each other
         witness = EquivalenceWitness(AffineMap.identity(f1.n), anf_from_truth_table(f1 ^ f2))
-        return EquivalenceResult(FOUND, witness, 0)
+        return EquivalenceResult(FOUND, _checked(witness, f1, f2), 0)
     nodes = [0]
     search = _witnesses(f1, f2, budget, nodes)
     try:

@@ -202,6 +202,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_concat_check(args) -> int:
     f1 = resolve_function(args.function1, args.n)
     f2 = resolve_function(args.function2, args.n)
+    joined = concatenate(f1, f2)  # rejects halves that cannot be joined before any scan
     instances = claims.lemma2_instances(f1, f2)
     best = min(map(sum, instances), default=None)
     relations = search.condition2_relations(quadratic.coset_values(f1), quadratic.coset_values(f2))
@@ -213,7 +214,7 @@ def _cmd_concat_check(args) -> int:
         "condition2": {"all_hold": all(r["holds"] for r in relations), "relations": relations},
     }
     if args.exact:
-        value, exact = quadratic.min_coset_nonlinearity(concatenate(f1, f2), threshold=args.threshold)
+        value, exact = quadratic.min_coset_nonlinearity(joined, threshold=args.threshold)
         payload["nl2"] = {"value": value, "exact": exact}
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0

@@ -10,10 +10,10 @@ From one scan everything else follows: the second-order nonlinearity is
 the minimum, the per-value histogram is the coset-nonlinearity profile,
 and the index sets at a fixed value are the level sets used in the
 concatenation-bound checks.  :func:`coset_values` is that one full scan
-per table: the cache keeps the read-only array together with the
-table's :class:`NlProfile`, least recently used first, while the arrays
-add up to at most ``CACHE_BYTES`` (8 MB: every 32 KB n=6 array of the
-catalog and three 2 MB n=7 arrays).  Profiles, level sets, the maximum
+per table: for the 256 most recently read tables of n <= 6 (at most
+32 KB each, 8 MB in all) the cache keeps the read-only array together with
+the table's :class:`NlProfile`; an n=7 table is scanned afresh at each
+read and its 2 MB array is not kept.  Profiles, level sets, the maximum
 and the condition-2 inclusions all read it.  Minimum scans and
 ``coset_nonlinearities`` scan afresh.  :func:`degree2_table` XORs the
 cached monomial rows of its n.  A table in the affine orbit
@@ -63,8 +63,6 @@ histogram).
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -81,9 +79,6 @@ from .core import AnfPolynomial, TruthTable, _bits_to_hex, fwht_rows, split, tru
 # where blocks end, also where the halves' minimum decides that no block
 # exits.  Changing it changes those outputs.
 _LOW_BITS = 11
-
-# Bytes of coset-value arrays the table cache may hold (see coset_values).
-CACHE_BYTES = 8 << 20
 
 
 def pair_count(n: int) -> int:
@@ -180,7 +175,7 @@ class NlProfile:
     """Histogram r -> number of quadratic forms q with nl(f + q) = r.
 
     ``counts`` is read-only: :func:`nfh_profile` hands every caller the
-    one cached profile of a table.
+    one cached profile of a table of n <= 6.
     """
 
     n: int
@@ -451,69 +446,37 @@ def second_order_nonlinearity(f: TruthTable) -> int:
     return min_coset_nonlinearity(f).value
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")
+@lru_cache(maxsize=256)
+def _scanned(f: TruthTable) -> tuple[np.ndarray, NlProfile]:
+    """One full scan of f: its read-only coset values and their profile."""
+    vals = coset_nonlinearities(f)
+    vals.setflags(write=False)
+    return vals, NlProfile(f.n, dict(enumerate(np.bincount(vals))))
 
 
-class _TableCache:
-    """(coset values, profile) per table, least recently used first,
-    evicted while the arrays add up to more than ``max_bytes``.  Safe to
-    call from several threads; as with ``functools.lru_cache``, the scan
-    runs outside the lock, and a table scanned by two threads at once
-    keeps the entry stored first."""
-
-    def __init__(self, max_bytes: int) -> None:
-        self.max_bytes = max_bytes
-        self._entries: OrderedDict[TruthTable, tuple[np.ndarray, NlProfile]] = OrderedDict()
-        self._nbytes = self._hits = self._misses = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, f: TruthTable) -> tuple[np.ndarray, NlProfile]:
-        with self._lock:
-            entry = self._entries.get(f)
-            if entry is not None:
-                self._entries.move_to_end(f)
-                self._hits += 1
-                return entry
-            self._misses += 1
-        vals = coset_nonlinearities(f)
-        vals.setflags(write=False)
-        entry = vals, NlProfile(f.n, dict(enumerate(np.bincount(vals))))
-        with self._lock:
-            if f not in self._entries:
-                self._entries[f] = entry
-                self._nbytes += vals.nbytes
-                while self._nbytes > self.max_bytes:
-                    self._nbytes -= self._entries.popitem(last=False)[1][0].nbytes
-            return self._entries.get(f, entry)  # an array above the bound alone is not kept
-
-    def info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, len(self._entries), self._nbytes)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._nbytes = self._hits = self._misses = 0
-
-
-_TABLES = _TableCache(CACHE_BYTES)
+def _table(f: TruthTable) -> tuple[np.ndarray, NlProfile]:
+    """f's scan, cached at n <= 6 and made afresh at n = 7."""
+    return (_scanned if f.n <= 6 else _scanned.__wrapped__)(f)
 
 
 def coset_values(f: TruthTable) -> np.ndarray:
     """nl(f + q) for every quadratic index: the one full scan of a table.
 
-    Cached per table with its profile, so each table is scanned once per
-    process while it stays in the cache.  A 6-variable table's array
-    takes 32 KB (2 MB at n=7); the cache keeps at most ``CACHE_BYTES``
-    of them.  Callers share the array, so it is read-only.
-    ``coset_values.cache_info()`` and ``coset_values.cache_clear()``
-    report on and empty the cache, profiles included.
+    Cached with its profile for the 256 most recently read tables of
+    n <= 6, so each is scanned once per process while it stays in the
+    cache; an n=7 array (2 MB) is scanned afresh and not kept.  Callers
+    share the array, so it is read-only.  Safe to call from several
+    threads: ``functools.lru_cache`` keeps the cache consistent, though
+    two threads that miss on one table at once may each get their own
+    equal array.  ``coset_values.cache_info()`` and
+    ``coset_values.cache_clear()`` report on and empty the cache,
+    profiles included.
     """
-    return _TABLES(f)[0]
+    return _table(f)[0]
 
 
-coset_values.cache_info = _TABLES.info
-coset_values.cache_clear = _TABLES.clear
+coset_values.cache_info = _scanned.cache_info
+coset_values.cache_clear = _scanned.cache_clear
 
 
 def max_nl_over_quadratics(f: TruthTable) -> int:
@@ -524,7 +487,7 @@ def max_nl_over_quadratics(f: TruthTable) -> int:
 def nfh_profile(f: TruthTable) -> NlProfile:
     """Full coset-nonlinearity histogram of f: the one profile cached
     with :func:`coset_values`, shared by every caller."""
-    return _TABLES(f)[1]
+    return _table(f)[1]
 
 
 def fh_set(f: TruthTable, r: int) -> FhSet:

@@ -36,7 +36,7 @@ from rm2cover.affine import (
 )
 from rm2cover.catalog import catalog_names
 from rm2cover.claims import _random_degree2
-from rm2cover.quadratic import coset_values
+from rm2cover.quadratic import QuadraticForm, coset_values
 from oracles import (
     brute_automorphisms,
     derivative_walsh_keys,
@@ -185,6 +185,10 @@ class TestEquivalenceSearch:
         assert result.status == FOUND
         assert result.witness.map.is_identity()
         assert result.witness.g.degree <= 2
+        form = QuadraticForm(6, 5).truth_table()  # both within degree 2: no search
+        result = equivalence_search(TruthTable.zeros(6), form)
+        assert result.status == FOUND and result.nodes == 0
+        assert result.witness.substitute(TruthTable.zeros(6)) == form
 
     def test_constructed_instances_found_and_verified(self):
         # 100 random (map, degree-2 addition) instances across the catalog
@@ -224,6 +228,12 @@ class TestEquivalenceSearch:
         monkeypatch.setattr(EquivalenceWitness, "substitute", lambda self, f1: TruthTable.zeros(6))
         with pytest.raises(RuntimeError, match="witness fails its own check"):
             equivalence_search(catalog_function("fun_2"), catalog_function("top_fun_7"))
+
+    def test_failed_degree2_witness_check_raises(self, monkeypatch):
+        # two functions within degree 2 of each other skip the search, not the check
+        monkeypatch.setattr(EquivalenceWitness, "substitute", lambda self, f1: TruthTable.zeros(6))
+        with pytest.raises(RuntimeError, match="witness fails its own check"):
+            equivalence_search(TruthTable.zeros(6), QuadraticForm(6, 5).truth_table())
 
     def test_budget_exhaustion(self):
         rng = np.random.default_rng(1)

@@ -136,6 +136,22 @@ class TestBasicCommands:
         code, _, _ = invoke(capsys, "concat-check", "fun_4", "fun_6")
         assert code == 0 and scans == {6: 2}
 
+    @pytest.mark.parametrize("exact", [(), ("--exact",)])
+    def test_concat_check_rejects_halves_too_wide_to_join(self, capsys, monkeypatch, exact):
+        # two 7-variable halves would make an 8-variable function
+        from rm2cover import quadratic
+
+        scans = []
+        scan = quadratic._scan
+        monkeypatch.setattr(quadratic, "_scan", lambda f, *args: scans.append(f) or scan(f, *args))
+        quadratic.coset_values.cache_clear()
+        half = "0444d60afbcc04ce45c40855fd75bab3"
+        code, out, err = invoke(capsys, "concat-check", half, half, *exact)
+        assert code == 1 and out == "" and scans == []
+        assert "exceeds" in err and "Traceback" not in err
+        code, out, err = invoke(capsys, "concat-check", "fun_4", half, *exact)
+        assert code == 1 and out == "" and "variable count mismatch" in err
+
 
 class TestSearchCommand:
     def test_search_writes_jsonl_and_summary(self, capsys, tmp_path):

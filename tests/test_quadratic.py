@@ -565,27 +565,32 @@ class TestTableCache:
         yield
         quadratic.coset_values.cache_clear()  # drop the fake arrays
 
-    def test_bounded_by_bytes(self, fake_scan, rng):
+    def test_catalog_fits(self, fake_scan):
         catalog = list(dict.fromkeys(catalog_function(name) for name in catalog_names()))  # 24 names, 23 tables
-        for f in catalog * 2:  # all of them fit
+        for f in catalog * 2:  # the second pass finds every table cached
             quadratic.coset_values(f)
-        assert quadratic.coset_values.cache_info().misses == len(catalog) == 23
-        tables = [TruthTable(7, bits) for bits in random_tables(rng, 70, 7)]
-        refs = [weakref.ref(quadratic.coset_values(f)) for f in tables]
-        live = [r() for r in refs if r() is not None]  # only the cache holds them
         info = quadratic.coset_values.cache_info()
-        assert sum(a.nbytes for a in live) == info.nbytes <= quadratic.CACHE_BYTES
-        assert info.misses == 23 + 70 and info.currsize == len(live) >= 1
-        assert refs[-1]() is not None and refs[0]() is None  # the oldest go first
+        assert info.misses == info.hits == info.currsize == len(catalog) == 23
+
+    def test_bounded_by_count(self, fake_scan, rng):
+        tables = [TruthTable(6, bits) for bits in random_tables(rng, 300, 6)]
+        refs = [weakref.ref(quadratic.coset_values(f)) for f in tables]
+        live = [r() is not None for r in refs]  # only the cache holds them
+        info = quadratic.coset_values.cache_info()
+        assert info.misses == 300 and info.currsize == info.maxsize == 256
+        assert live == [False] * 44 + [True] * 256  # the oldest go first
         assert quadratic.coset_values(tables[-1]) is refs[-1]()
 
-    def test_array_above_the_bound_is_not_kept(self, fake_scan, monkeypatch):
-        monkeypatch.setattr(quadratic._TABLES, "max_bytes", 1 << 20)
+    def test_n7_array_is_not_kept(self, fake_scan):
         f = TruthTable.zeros(7)
-        assert quadratic.coset_values(f).size == 1 << 21
-        assert quadratic.coset_values.cache_info()[1:] == (1, 0, 0)  # misses, currsize, nbytes
+        first, second = quadratic.coset_values(f), quadratic.coset_values(f)
+        assert first.size == 1 << 21 and np.array_equal(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        assert quadratic.coset_values.cache_info() == (0, 0, 256, 0)  # hits, misses, maxsize, currsize
 
     def test_threads_share_one_entry(self):
+        # two threads that miss on one table at once may each keep their
+        # own equal array, so equality, not identity, is what holds
         quadratic.coset_values.cache_clear()
         names = ("fun_3", "fun_4", "fun_9")
 
@@ -596,25 +601,39 @@ class TestTableCache:
         with ThreadPoolExecutor(4) as pool:
             results = list(pool.map(read, range(12), timeout=60))
         for f, vals, profile in results:
-            assert quadratic.coset_values(f) is vals and nfh_profile(f) is profile
-        info = quadratic.coset_values.cache_info()
-        assert info.currsize == 3 and info.nbytes == 3 * form_count(6)
+            assert not vals.flags.writeable
+            assert np.array_equal(quadratic.coset_values(f), vals) and nfh_profile(f) == profile
+        assert quadratic.coset_values.cache_info().currsize == 3
 
-    def test_threads_keep_the_accounting(self, fake_scan, monkeypatch, rng):
-        # eight threads over 40 tables, ten of which fit: a lost update
-        # of the counts or the byte total breaks the identities below
-        monkeypatch.setattr(quadratic._TABLES, "max_bytes", 10 * form_count(6))
+    def test_threads_keep_the_accounting(self, rng):
+        # eight threads over 40 tables: a lost update of the counts or a
+        # torn entry breaks the identities below
         tables = [TruthTable(6, bits) for bits in random_tables(rng, 40, 6)]
+        expected = [nfh_profile(f) for f in tables]  # one thread
+        quadratic.coset_values.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                list(pool.map(lambda i: nfh_profile(tables[i % 40]), range(2000), timeout=60))
+                profiles = list(pool.map(lambda i: nfh_profile(tables[i % 40]), range(2000), timeout=60))
         finally:
             sys.setswitchinterval(interval)
         info = quadratic.coset_values.cache_info()
-        assert info.hits + info.misses == 2000
-        assert info.nbytes == info.currsize * form_count(6) <= 10 * form_count(6)
+        assert info.hits + info.misses == 2000 and info.currsize == 40
+        assert profiles == [expected[i % 40] for i in range(2000)]
+
+    def test_benchmark_traffic_fits_the_cache(self, bench_workloads, monkeypatch):
+        # the cache is sized for at most 256 tables of n <= 6: the first
+        # key of every benchmark slot must read no other table through it
+        reads = {}
+        table = quadratic._table
+        for name, workload in bench_workloads.WORKLOADS.items():
+            read = reads[name] = Counter()
+            monkeypatch.setattr(quadratic, "_table", lambda f, read=read: read.update([f]) or table(f))
+            for slot in range(workload.slots):
+                workload.run(workload.make_input((slot, 0)))
+            assert {f.n for f in read} <= {6} and len(read) <= 256, name
+        assert all(reads[name] for name in ("verify", "search", "equiv")) and not reads["scan7"]
 
 
 class TestDegree2Table:
