@@ -15,7 +15,9 @@ how often each third-derivative weight occurs along them, and each depth
 of the backtracking checks the classes of all its candidates in one
 gather.  One recursive generator yields the verified witnesses in a
 fixed order: ``equivalence_search`` keeps the first, and
-``automorphisms`` takes them all.
+``automorphisms`` takes them all.  The coset-nonlinearity profiles, one
+full scan of f2, are compared last, only when no witness was found: a
+witness implies equal profiles, so a found pair never scans f2.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import quadratic
-from .core import AnfPolynomial, MAX_VARS, TruthTable, _moebius, anf_from_truth_table, fwht_rows, truth_table_from_anf
+from .core import AnfPolynomial, MAX_VARS, TruthTable, anf_from_truth_table, fwht_rows, truth_table_from_anf
+from .core import _anf_from_coefficients, _moebius
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -100,13 +104,16 @@ def sample_affine_map(n: int, rng: np.random.Generator) -> AffineMap:
     while True:
         a = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         if is_invertible(a):
-            break
-    b = rng.integers(0, 2, size=n, dtype=np.uint8)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    # a is a 0/1 matrix that just passed the rank test: skip AffineMap's checks
+            return _unchecked_map(n, a, rng.integers(0, 2, size=n, dtype=np.uint8))
+
+
+def _unchecked_map(n: int, matrix: np.ndarray, offset: np.ndarray) -> AffineMap:
+    """AffineMap without the checks, for a contiguous uint8 0/1 invertible
+    matrix and offset; sets both read-only, as the constructor does."""
+    matrix.setflags(write=False)
+    offset.setflags(write=False)
     m = object.__new__(AffineMap)
-    m.__dict__.update(n=n, matrix=a, offset=b)
+    m.__dict__.update(n=n, matrix=matrix, offset=offset)
     return m
 
 
@@ -247,40 +254,31 @@ def _class_labels(
     return cls1, cls2, pair1, pair2
 
 
+@lru_cache(maxsize=None)
+def _deep_degrees(n: int) -> np.ndarray:
+    """Read-only: the degree of each ANF monomial index of n variables
+    where it is at least 3, else 0."""
+    degrees = np.array([d if (d := a.bit_count()) > 2 else 0 for a in range(1 << n)])
+    degrees.setflags(write=False)
+    return degrees
+
+
 def _deep_degree(f: TruthTable) -> int:
     """The degree of f's degree->=3 part, 0 when f has degree <= 2."""
-    popcount = np.array([a.bit_count() for a in range(1 << f.n)])
-    return int((popcount * _moebius(f.bits))[popcount > 2].max(initial=0))
+    return int((_deep_degrees(f.n) * _moebius(f.bits)).max())
 
 
-class _Rejected(Exception):
-    """An equivalence invariant differs; the message is the reason."""
-
-
-def _witnesses(f1: TruthTable, f2: TruthTable, budget: float, nodes: list[int]) -> Iterator[EquivalenceWitness]:
+def _witnesses(f1: TruthTable, f2: TruthTable, inv1, inv2, budget: float, nodes: list[int]) -> Iterator[EquivalenceWitness]:
     """Every verified witness (A, b, g) of f2 = f1(Ax+b) + g, deg(g) <= 2,
-    for two functions of equal, nonzero degree->=3 part, in a fixed order
-    (ascending column index, ascending candidate value, ascending
-    translation).
-
-    Raises ``_Rejected`` on the first ``next`` when an invariant already
-    differs, and ``_BudgetExceeded`` when ``nodes[0]``, the count of
-    visited nodes, passes ``budget``.
+    for two functions of equal, nonzero degree->=3 part and equal
+    derivative spectra (their ``_derivative_invariants`` inv1 and inv2),
+    in a fixed order (ascending column index, ascending candidate value,
+    ascending translation).  Raises ``_BudgetExceeded`` when
+    ``nodes[0]``, the count of visited nodes, passes ``budget``.
     """
     n = f1.n
-    size = 1 << n
-    deep = np.array([a.bit_count() > 2 for a in range(size)])  # monomials of degree >= 3
-    w1, t1 = _derivative_invariants(f1)
-    w2, t2 = _derivative_invariants(f2)
-    if sorted(w1[1:].tolist()) != sorted(w2[1:].tolist()):
-        raise _Rejected("derivative-spectrum multiset mismatch")
-
-    # f1 is the side that repeats across calls, so only its coset values
-    # go into the shared cache
-    if not np.array_equal(
-        np.bincount(quadratic.coset_values(f1)), np.bincount(quadratic.coset_nonlinearities(f2))
-    ):
-        raise _Rejected("coset-nonlinearity profile mismatch")
+    deep = _deep_degrees(n) > 0
+    (w1, t1), (w2, t2) = inv1, inv2
 
     # refine per-direction and per-pair classes with derivative-cube
     # marginals (the remaining arguments range over everything, so a
@@ -292,7 +290,7 @@ def _witnesses(f1: TruthTable, f2: TruthTable, budget: float, nodes: list[int]) 
     candidates_by_class = {int(c): np.flatnonzero(cls1[1:] == c) + 1 for c in np.unique(cls1[1:])}
 
     bit = np.arange(n)
-    points = np.arange(size)
+    points = np.arange(1 << n)
 
     def bump() -> None:
         nodes[0] += 1
@@ -306,16 +304,17 @@ def _witnesses(f1: TruthTable, f2: TruthTable, budget: float, nodes: list[int]) 
         # checks every constraint among the first 2**(depth+1) directions
         if depth == n:
             # img is x -> Ax, whose column i is img[2**i]; row b of diffs
-            # is f1(Ax + b) + f2(x), and one transform checks every row
-            diffs = f1.bits[img ^ points[:, None]] ^ f2.bits
-            too_deep = _moebius(diffs)[:, deep].any(axis=1).tolist()
-            for b, diff in enumerate(diffs):
+            # is f1(Ax + b) + f2(x), and one transform gives the ANF of
+            # every row: g where its degree->=3 part is zero
+            coeffs = _moebius(f1.bits[img ^ points[:, None]] ^ f2.bits)
+            too_deep = coeffs[:, deep].any(axis=1).tolist()
+            a = ((img[1 << bit] >> bit[:, None]) & 1).astype(np.uint8)
+            for b, row in enumerate(coeffs):
                 bump()
                 if too_deep[b]:
                     continue
-                a = (img[1 << bit] >> bit[:, None]) & 1
-                g = anf_from_truth_table(TruthTable(n, diff))
-                yield _checked(EquivalenceWitness(AffineMap(n, a, (b >> bit) & 1), g), f1, f2)
+                m = _unchecked_map(n, a, ((b >> bit) & 1).astype(np.uint8))
+                yield _checked(EquivalenceWitness(m, _anf_from_coefficients(n, row)), f1, f2)
             return
         new = slice(1 << depth, 2 << depth)
         full = slice(0, 2 << depth)
@@ -353,17 +352,18 @@ def _witnesses(f1: TruthTable, f2: TruthTable, budget: float, nodes: list[int]) 
         del witnesses
 
 
-def equivalence_search(
-    f1: TruthTable,
-    f2: TruthTable,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> EquivalenceResult:
+def equivalence_search(f1: TruthTable, f2: TruthTable, budget: int = DEFAULT_SEARCH_BUDGET) -> EquivalenceResult:
     """Search for (A, b, g) with f2 = f1(Ax+b) + g and deg(g) <= 2.
 
     Returns FOUND with a verified witness, NOT_FOUND only when the
     pruned backtracking was exhausted (or an equivalence invariant
     already differs), and BUDGET_EXHAUSTED when the node budget ran out
     first.  The witness is the first that ``_witnesses`` yields.
+
+    Checks run in order: degree->=3 part, derivative spectra, the
+    backtracking and, only when it ends without a witness, the coset
+    profiles.  A profile mismatch then returns what checking it first
+    would (NOT_FOUND, 0 nodes), after at most ``budget`` nodes.
     """
     if f1.n != f2.n:
         raise ValueError(f"variable count mismatch: {f1.n} vs {f2.n}")
@@ -378,19 +378,25 @@ def equivalence_search(
         # both functions are within degree 2 of each other
         witness = EquivalenceWitness(AffineMap.identity(f1.n), anf_from_truth_table(f1 ^ f2))
         return EquivalenceResult(FOUND, _checked(witness, f1, f2), 0)
+    inv1, inv2 = _derivative_invariants(f1), _derivative_invariants(f2)
+    if sorted(inv1[0][1:].tolist()) != sorted(inv2[0][1:].tolist()):
+        return EquivalenceResult(NOT_FOUND, None, 0, reason="derivative-spectrum multiset mismatch")
     nodes = [0]
-    search = _witnesses(f1, f2, budget, nodes)
+    search = _witnesses(f1, f2, inv1, inv2, budget, nodes)
     try:
         witness = next(search, None)
-    except _Rejected as rejected:
-        return EquivalenceResult(NOT_FOUND, None, 0, reason=str(rejected))
+        status = NOT_FOUND if witness is None else FOUND
     except _BudgetExceeded:
-        return EquivalenceResult(BUDGET_EXHAUSTED, None, nodes[0])
+        witness, status = None, BUDGET_EXHAUSTED
     finally:
         search.close()
-    if witness is None:
-        return EquivalenceResult(NOT_FOUND, None, nodes[0])
-    return EquivalenceResult(FOUND, witness, nodes[0])
+    # f1 is the side that repeats across calls, so only its coset values
+    # go into the shared cache
+    if witness is None and not np.array_equal(
+        np.bincount(quadratic.coset_values(f1)), np.bincount(quadratic.coset_nonlinearities(f2))
+    ):
+        return EquivalenceResult(NOT_FOUND, None, 0, reason="coset-nonlinearity profile mismatch")
+    return EquivalenceResult(status, witness, nodes[0])
 
 
 def automorphisms(f: TruthTable) -> Iterator[EquivalenceWitness]:
@@ -403,5 +409,6 @@ def automorphisms(f: TruthTable) -> Iterator[EquivalenceWitness]:
         raise ValueError("equivalence search supports n <= 6")
     if not _deep_degree(f):
         raise ValueError("f has degree <= 2, so every affine map is an automorphism")
-    return _witnesses(f, f, math.inf, [0])
+    inv = _derivative_invariants(f)
+    return _witnesses(f, f, inv, inv, math.inf, [0])
 

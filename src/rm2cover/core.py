@@ -231,11 +231,14 @@ def truth_table_from_anf(p: AnfPolynomial) -> TruthTable:
 
 def anf_from_truth_table(t: TruthTable) -> AnfPolynomial:
     """Inverse of :func:`truth_table_from_anf` (the transform is an involution)."""
-    coeffs = _moebius(t.bits)
-    monos = []
-    for idx in np.flatnonzero(coeffs):
-        monos.append(frozenset(v + 1 for v in range(t.n) if (int(idx) >> v) & 1))
-    return AnfPolynomial(t.n, frozenset(monos))
+    return _anf_from_coefficients(t.n, _moebius(t.bits))
+
+
+def _anf_from_coefficients(n: int, coeffs: np.ndarray) -> AnfPolynomial:
+    """The polynomial with a monomial at each nonzero entry of the
+    Moebius coefficients ``coeffs`` (index bit v - 1 set: x_v in it)."""
+    monos = (frozenset(v + 1 for v in range(n) if (idx >> v) & 1) for idx in np.flatnonzero(coeffs).tolist())
+    return AnfPolynomial(n, frozenset(monos))
 
 
 def _moebius(bits: np.ndarray) -> np.ndarray:

@@ -16,16 +16,21 @@ every map of AGL(n, 2) with its own subset-sum ANF transform.
 ``int16_coset_nl`` is the scan's previous block kernel, a direct int16
 sign block of ``2**n`` points per coset (128 at n=7); it shares only
 ``core.fwht_rows``, which ``test_core`` checks against a Hadamard
-matrix product.
+matrix product.  ``profile_first_search`` is the one exception: it
+is the equivalence search with the coset profiles compared before the
+backtracking, as the search once did, so it ends in the library's
+``equivalence_search``; its own checks use the oracles above.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
+from rm2cover.affine import NOT_FOUND, equivalence_search
 from rm2cover.core import fwht_rows
 
 
@@ -226,6 +231,37 @@ def sorted_row_labels(w1, t1, w2, t2):
     pairs = np.concatenate([np.sort(t, axis=2).reshape(-1, size) for t in (t1, t2)])
     cls, pair = _void_labels(directions), _void_labels(pairs).reshape(2, size, size)
     return cls[:size], cls[size:], pair[0], pair[1]
+
+
+@lru_cache(maxsize=None)
+def _search_invariants(bits: bytes, n: int) -> tuple[int, list, list]:
+    """The degree of the degree->=3 part (ANF by the subset-sum matrix),
+    the sorted derivative spectra of the directions a != 0 and the coset
+    profile (row-layout scan) of the table packed in ``bits``."""
+    table = np.frombuffer(bits, dtype=np.uint8)
+    u = np.arange(1 << n)
+    subset = ((u[:, None] & u) == u[:, None]).astype(np.int64)  # subset[y, u]: y is a subset of u
+    popcount = np.array([bin(int(a)).count("1") for a in u])
+    anf = (table.astype(np.int64) @ subset) & 1
+    deep = int((popcount * anf)[popcount > 2].max(initial=0))
+    spectra = sorted(derivative_walsh_keys(table, n)[1:].tolist())
+    profile = np.bincount(row_layout_coset_nl(table, n, 0, 1 << (n * (n - 1) // 2))).tolist()
+    return deep, spectra, profile
+
+
+def profile_first_search(f1, f2, budget: int) -> tuple:
+    """``(status, reason, nodes, witness JSON)`` of the equivalence search
+    with the coset profiles compared right after the degree->=3 parts
+    and the derivative spectra, before any backtracking: a mismatch
+    there is NOT_FOUND at 0 nodes, and every other pair ends as
+    ``equivalence_search`` ends it."""
+    (deep1, spectra1, profile1), (deep2, spectra2, profile2) = (
+        _search_invariants(f.bits.tobytes(), f.n) for f in (f1, f2)
+    )
+    if deep1 == deep2 != 0 and spectra1 == spectra2 and profile1 != profile2:
+        return NOT_FOUND, "coset-nonlinearity profile mismatch", 0, None
+    result = equivalence_search(f1, f2, budget=budget)
+    return result.status, result.reason, result.nodes, result.witness and result.witness.as_json_dict()
 
 
 def brute_automorphisms(bits: np.ndarray, n: int) -> list[tuple[bytes, int]]:

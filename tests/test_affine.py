@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -22,7 +23,7 @@ from rm2cover import (
     truth_table_from_anf,
     weight,
 )
-from rm2cover import affine
+from rm2cover import affine, quadratic
 from rm2cover.affine import (
     BUDGET_EXHAUSTED,
     DEFAULT_SEARCH_BUDGET,
@@ -42,6 +43,7 @@ from oracles import (
     derivative_walsh_keys,
     gl2_order_fraction,
     numpy_is_invertible,
+    profile_first_search,
     random_tables,
     sorted_row_labels,
     third_derivative_weights,
@@ -296,6 +298,13 @@ PINNED = {
         DEFAULT_SEARCH_BUDGET,
         (NOT_FOUND, "coset-nonlinearity profile mismatch", 0, None),
     ),
+    # the backtracking passes budget 1 (it visits 9 nodes) before the
+    # profiles are compared; the mismatch still decides the result
+    "profile-after-budget": (
+        lambda: (catalog_function("top_fun_5"), catalog_function("fun_2")),
+        1,
+        (NOT_FOUND, "coset-nonlinearity profile mismatch", 0, None),
+    ),
     "budget-3": (
         lambda: (catalog_function("fun_4"), _budget_target()),
         3,
@@ -450,12 +459,84 @@ def test_shared_labels_match_row_equality(dtype):
 
 
 def test_fresh_target_not_cached():
-    # only f1 repeats across calls, so only f1's coset values are cached
+    # a found search compares no profiles, so it reads no coset values;
+    # a profile comparison caches only f1's, the side that repeats
+    # across calls
     f1 = catalog_function("fun_6")
     coset_values.cache_clear()
-    result = equivalence_search(f1, _member(f1, 99))
-    assert result.status == FOUND
-    assert coset_values.cache_info().currsize <= 1
+    assert equivalence_search(f1, _member(f1, 99)).status == FOUND
+    assert coset_values.cache_info().currsize == 0
+    result = equivalence_search(catalog_function("fun_2"), _member(catalog_function("top_fun_5"), 99))
+    assert result.reason == "coset-nonlinearity profile mismatch"
+    assert coset_values.cache_info().currsize == 1
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The tables that ``quadratic._scan`` scans, in call order."""
+    tables = []
+    scan = quadratic._scan
+    monkeypatch.setattr(quadratic, "_scan", lambda f, *args: tables.append(f) or scan(f, *args))
+    return tables
+
+
+def test_found_search_scans_nothing(scans):
+    # a witness implies equal profiles, so neither a found search nor the
+    # first automorphism scans f2 once f1's coset values are cached
+    f = catalog_function("fun_4")
+    coset_values(f)
+    scans.clear()
+    assert equivalence_search(f, _member(f, 5)).status == FOUND
+    assert len(scans) == 0
+    next(automorphisms(f))
+    assert len(scans) == 0
+
+
+def test_equiv_workload_scans_only_the_profile_slot(bench_workloads, scans):
+    # the first key of every benchmark slot, f1's coset values cached:
+    # only the pair rejected by its profiles scans, and scans f2 once
+    equiv = bench_workloads.WORKLOADS["equiv"]
+    counts = {}
+    for slot, pair in enumerate(equiv.pairs):
+        inp = equiv.make_input((slot, 0))
+        coset_values(inp[0])
+        scans.clear()
+        assert equiv.check(inp, equiv.run(inp)) == []
+        counts[pair] = len(scans)
+    assert {pair: count for pair, count in counts.items() if count} == {("fun_2", "top_fun_5"): 1}
+
+
+@pytest.mark.parametrize(
+    "f1, f2, nodes",
+    [("fun_2", "top_fun_5", 0), ("top_fun_5", "fun_2", 9), ("top_fun_5", "top_fun_7", 9), ("top_fun_7", "top_fun_5", 0)],
+)
+def test_profile_mismatch_backtracking_nodes(f1, f2, nodes):
+    # the catalog pairs that only their profiles tell apart, and seeded
+    # members of f2's class: the nodes the backtracking visits before
+    # the profile comparison, which comes after it
+    f1, f2 = catalog_function(f1), catalog_function(f2)
+    for target in (f2, _member(f2, 0), _member(f2, 1)):
+        visited = [0]
+        inv1, inv2 = _derivative_invariants(f1), _derivative_invariants(target)
+        assert list(affine._witnesses(f1, target, inv1, inv2, math.inf, visited)) == []
+        assert visited[0] == nodes
+        assert equivalence_search(f1, target).reason == "coset-nonlinearity profile mismatch"
+
+
+def test_profile_last_matches_profile_first():
+    # every ordered pair of equal-degree n=6 catalog functions, and each
+    # against a seeded member of its own class
+    tables = [f for f in map(catalog_function, catalog_names()) if f.n == 6]
+    cases = [(f1, f2) for f1 in tables for f2 in tables if degree(f1) == degree(f2)]
+    cases += [(f, _member(f, 7)) for f in tables]
+    mismatched = 0
+    for f1, f2 in cases:
+        expected = profile_first_search(f1, f2, DEFAULT_SEARCH_BUDGET)
+        result = equivalence_search(f1, f2)
+        witness = None if result.witness is None else result.witness.as_json_dict()
+        assert (result.status, result.reason, result.nodes, witness) == expected
+        mismatched += expected[1] == "coset-nonlinearity profile mismatch"
+    assert mismatched == 4
 
 
 class TestDerivativeInvariants:
