@@ -200,6 +200,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_concat_check(args) -> int:
+    if args.threshold is not None and not args.exact:
+        raise UsageError("concat-check --threshold needs --exact")
     f1 = resolve_function(args.function1, args.n)
     f2 = resolve_function(args.function2, args.n)
     joined = concatenate(f1, f2)  # rejects halves that cannot be joined before any scan

@@ -16,9 +16,10 @@ the table's :class:`NlProfile`; an n=7 table is scanned afresh at each
 read and its 2 MB array is not kept.  Profiles, level sets, the maximum
 and the condition-2 inclusions all read it.  Minimum scans and
 ``coset_nonlinearities`` scan afresh.  :func:`degree2_table` XORs the
-cached monomial rows of its n.  A table in the affine orbit
+cached monomial rows of its n; the scan's sign tables are XOR spans of
+those rows (:func:`_xor_span`).  A table in the affine orbit
 of f modulo degree 2, f(Ax + b) + q_k + l, needs no scan: its array is
-f's permuted by :func:`form_map`.
+f's permuted by :func:`form_map`, the XOR span of the pairs' images.
 
 The minimum at n >= 3 comes from the halves f = f1 || f2 on x_n = 0 and
 x_n = 1.  A homogeneous quadratic in n variables is q + x_n * l with q
@@ -54,10 +55,10 @@ Q = q + x_7 * l for 512 consecutive 6-variable q and 4 linear l, and
     nl(f + Q) = 64 - max over u of (|W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|) / 2,
 
 so one 64-point transform of both halves' signs serves every block of
-the same q-range within a scan call.  No transform has more than 64
-points, so every one runs in int8 (partial sums lie in [-64, 64]).  One
-block iterator feeds every reduction (values, minimum, maximum,
-histogram).
+the same q-range within a scan call; the (q, l) of every index is an
+XOR span too.  No transform has more than 64 points, so every one runs
+in int8 (partial sums lie in [-64, 64]).  One block iterator feeds every
+reduction (values, minimum, maximum, histogram).
 """
 
 from __future__ import annotations
@@ -140,10 +141,15 @@ def form_map(matrix) -> np.ndarray:
     rows, cols = np.triu_indices(n, 1)  # variable pairs in index-bit order, 0-based
     prod = a[rows][:, :, None] & a[cols][:, None, :]  # A_ik A_jl for every pair (i, j)
     coeff = prod[:, rows, cols] ^ prod[:, cols, rows]
-    images = coeff.astype(np.int64) @ (1 << np.arange(len(rows), dtype=np.int64))
-    out = np.zeros(1 << len(rows), dtype=np.int64)
-    for p, image in enumerate(images):
-        out[1 << p : 2 << p] = out[: 1 << p] ^ image
+    return _xor_span(coeff.astype(np.int64) @ (1 << np.arange(len(rows), dtype=np.int64)))
+
+
+def _xor_span(rows: np.ndarray) -> np.ndarray:
+    """All 2**len(rows) XOR combinations of rows (a 1-D int array or a
+    2-D 0/1 array): entry k is the XOR of the rows at the set bits of k."""
+    out = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
+    for p, row in enumerate(rows):
+        out[1 << p : 2 << p] = out[: 1 << p] ^ row
     return out
 
 
@@ -163,9 +169,9 @@ def degree2_table(n: int, quad_index: int, linear_mask: int, constant: int = 0) 
     """Truth table of q_quad_index + sum of x_(v+1) over set bits v of
     linear_mask + constant: the XOR of the selected monomial rows."""
     m = pair_count(n)
-    if not 0 <= quad_index < 1 << m:
-        raise ValueError(f"index {quad_index} out of range for n={n}")
-    word = quad_index | (linear_mask & ((1 << n) - 1)) << m
+    if not (0 <= quad_index < 1 << m and 0 <= linear_mask < 1 << n and constant in (0, 1)):
+        raise ValueError(f"index {quad_index}, linear mask {linear_mask} or constant {constant} out of range for n={n}")
+    word = quad_index | linear_mask << m
     chosen = ((word >> np.arange(m + n)) & 1).astype(bool)
     return TruthTable(n, np.bitwise_xor.reduce(_degree2_rows(n)[chosen], axis=0) ^ np.uint8(constant))
 
@@ -256,25 +262,12 @@ def _sign_tables(n: int):
     is k over the low index bits, so chi_low has shape
     ``(2**n, 2**low_bits)`` with the coset axis innermost.  chi_high[k]
     (a row) is the table of the quadratic whose index is k over the
-    remaining bits.
+    remaining bits: the XOR spans of :func:`_degree2_rows`' pair rows.
     """
-    m = pair_count(n)
-    idx = np.arange(1 << n, dtype=np.uint32)
-    mono_chi = np.empty((m, 1 << n), dtype=np.int8)
-    for p, (i, j) in enumerate(variable_pairs(n)):
-        xi = (idx >> (i - 1)) & 1
-        xj = (idx >> (j - 1)) & 1
-        mono_chi[p] = 1 - 2 * (xi & xj).astype(np.int8)
     low_bits = _low_bits(n)
-
-    def span(rows: np.ndarray) -> np.ndarray:
-        out = np.ones((1 << len(rows), 1 << n), dtype=np.int8)
-        for p in range(len(rows)):
-            half = 1 << p
-            out[half : 2 * half] = out[:half] * rows[p]
-        return out
-
-    return np.ascontiguousarray(span(mono_chi[:low_bits]).T), span(mono_chi[low_bits:]), low_bits
+    monomials = _degree2_rows(n)[: pair_count(n)].view(np.int8)
+    chi_low = 1 - 2 * _xor_span(monomials[:low_bits])
+    return np.ascontiguousarray(chi_low.T), 1 - 2 * _xor_span(monomials[low_bits:]), low_bits
 
 
 def _abs_spectra(w: np.ndarray) -> np.ndarray:
@@ -314,20 +307,13 @@ def _halves_layout(n: int):
     hold the pairs (1, 7) and (2, 7), so block ``hi`` is the 512
     consecutive q from ``q0[hi]`` times the 4 l from ``l0[hi]``, and
     index ``(hi << 11) + k`` reads entry ``offsets[k]`` of the block's
-    (4, 512) values (row l ^ l0[hi], column q - q0[hi]).
+    (4, 512) values (row l ^ l0[hi], column q - q0[hi]).  The q and l
+    parts of the low and high index bits are XOR spans of their weights.
     """
-    m, low_bits = pair_count(n), _low_bits(n)
-    to_l = np.array([j == n for _, j in variable_pairs(n)])
-    weight = np.array([1 << (i - 1) for i, _ in variable_pairs(n)])  # l bit of a pair (i, n)
-    weight[~to_l] = 1 << np.arange(np.count_nonzero(~to_l))  # q bit of every other pair
-
-    def parts(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The q and l parts of every index over the index bits lo .. hi - 1."""
-        index_bits = (np.arange(1 << (hi - lo))[:, None] >> np.arange(hi - lo)) & 1
-        return index_bits @ (weight[lo:hi] * ~to_l[lo:hi]), index_bits @ (weight[lo:hi] * to_l[lo:hi])
-
-    q_low, l_low = parts(0, low_bits)
-    q0, l0 = parts(low_bits, m)
+    low_bits = _low_bits(n)
+    q_bit = {pq: p for p, pq in enumerate(variable_pairs(n - 1))}
+    q_l = np.array([(0, 1 << (i - 1)) if j == n else (1 << q_bit[i, j], 0) for i, j in variable_pairs(n)])
+    (q_low, l_low), (q0, l0) = _xor_span(q_l[:low_bits]).T, _xor_span(q_l[low_bits:]).T
     return l_low * (int(q_low.max()) + 1) + q_low, q0, l0
 
 
@@ -501,8 +487,10 @@ def level_set_outside(src_vals: np.ndarray, r: int, dst_vals: np.ndarray, rs) ->
     The arguments are coset-nonlinearity arrays of two functions, so
     None means the level set of the first at r lies within the union of
     the second's level sets over rs; otherwise the index is a
-    counterexample to that inclusion.
+    counterexample to that inclusion.  Arrays of two shapes raise ValueError.
     """
+    if src_vals.shape != dst_vals.shape:
+        raise ValueError(f"coset-value arrays differ in shape: {src_vals.shape} vs {dst_vals.shape}")
     bad = src_vals == r
     for s in rs:
         bad &= dst_vals != s

@@ -144,8 +144,6 @@ def condition2_relations(vals1: np.ndarray, vals2: np.ndarray) -> list[dict]:
     level(20) within level(22) u level(24) u level(26).  Each verdict
     carries a counterexample index on failure.
     """
-    if vals1.shape != vals2.shape:
-        raise ValueError(f"coset-value arrays differ in shape: {vals1.shape} vs {vals2.shape}")
     relations = []
     for direction, src, dst in (("1->2", vals1, vals2), ("2->1", vals2, vals1)):
         for r, targets in ((16, (26,)), (18, (24, 26)), (20, (22, 24, 26))):

@@ -152,6 +152,12 @@ class TestBasicCommands:
         code, out, err = invoke(capsys, "concat-check", "fun_4", half, *exact)
         assert code == 1 and out == "" and "variable count mismatch" in err
 
+    def test_concat_check_threshold_needs_exact(self, capsys):
+        # without --exact no nl2 is computed, so the threshold would be ignored
+        code, out, err = invoke(capsys, "concat-check", "fun_4", "fun_6", "--threshold", "41")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "--threshold" in err and "Traceback" not in err
+
 
 class TestSearchCommand:
     def test_search_writes_jsonl_and_summary(self, capsys, tmp_path):

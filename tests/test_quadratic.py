@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import weakref
@@ -413,6 +414,48 @@ def _permuted_values(vals: np.ndarray, matrix, quad_index: int) -> np.ndarray:
     return out
 
 
+class TestXorSpan:
+    """_xor_span, behind the sign tables, the n=7 block layout and form_map."""
+
+    @staticmethod
+    def by_definition(rows):
+        zero = np.zeros(rows.shape[1:], dtype=rows.dtype)
+        return np.array([
+            functools.reduce(np.bitwise_xor, [rows[p] for p in range(len(rows)) if k >> p & 1], zero)
+            for k in range(1 << len(rows))
+        ])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.random.default_rng(5).integers(0, 1 << 40, size=7),
+            np.random.default_rng(6).integers(0, 2, size=(5, 16), dtype=np.uint8),
+            np.zeros(0, dtype=np.int64),
+            np.zeros((0, 8), dtype=np.uint8),
+        ],
+        ids=["int64", "uint8-rows", "no-int64", "no-uint8-rows"],
+    )
+    def test_matches_definition(self, rows):
+        got, expected = quadratic._xor_span(rows), self.by_definition(rows)
+        assert got.dtype == rows.dtype and got.shape == (1 << len(rows), *rows.shape[1:])
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sign_tables_match_anf_route(self, n):
+        # the +-1 tables of QuadraticForm come from its ANF, not from the monomial rows
+        chi_low, chi_high, low_bits = quadratic._sign_tables(n)
+        assert chi_low.dtype == chi_high.dtype == np.int8 and chi_low.flags.c_contiguous
+        assert chi_low.shape == (1 << n, 1 << low_bits) and chi_high.shape == (form_count(n) >> low_bits, 1 << n)
+
+        def signs(index):
+            return 1 - 2 * QuadraticForm(n, index).truth_table().bits.astype(np.int8)
+
+        for k in range(1 << low_bits):
+            assert np.array_equal(chi_low[:, k], signs(k)), k
+        for h in range(len(chi_high)):
+            assert np.array_equal(chi_high[h], signs(h << low_bits)), h
+
+
 class TestFormMap:
     """S_A, the quadratic-part map of x -> Ax + b, and the coset values it permutes."""
 
@@ -669,6 +712,10 @@ class TestDegree2Table:
             quadratic.degree2_table(6, form_count(6), 0)
         with pytest.raises(ValueError, match="out of range"):
             quadratic.degree2_table(6, -1, 0)
+        # linear masks beyond the n variables and constants outside {0, 1}
+        for linear_mask, constant in ((64, 0), (-1, 0), (1 << 40, 0), (0, 2), (0, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                quadratic.degree2_table(6, 0, linear_mask, constant)
 
 
 class TestLevelSets:
@@ -711,6 +758,14 @@ class TestLevelSets:
         assert witness == int(np.flatnonzero(vals == 16)[0])  # the first member, as fun_3 has no 26
         q = QuadraticForm(6, witness).truth_table()
         assert nonlinearity(f ^ q) == 16  # witness really is in the r=16 set
+
+    def test_arrays_of_two_shapes_are_rejected(self):
+        # a 1-element array broadcast against the whole scan would read as an inclusion
+        vals, short = quadratic.coset_values(catalog_function("fun_4")), np.array([26], dtype=np.uint8)
+        with pytest.raises(ValueError, match="differ in shape"):
+            level_set_outside(vals, 16, short, (26,))
+        with pytest.raises(ValueError, match="differ in shape"):
+            level_set_outside(short, 26, vals, (16,))
 
     def test_subset_sampled_cross_check(self, rng):
         f_i = catalog_function("fun_4")
