@@ -286,8 +286,8 @@ def _witnesses(f1: TruthTable, f2: TruthTable, inv1, inv2, budget: float, nodes:
     # label that differs prunes every candidate below
     cls1, cls2, pair1, pair2 = _class_labels(w1, t1, w2, t2)
 
-    # candidate images of basis vectors, grouped by derivative class
-    candidates_by_class = {int(c): np.flatnonzero(cls1[1:] == c) + 1 for c in np.unique(cls1[1:])}
+    # candidates[d]: images of basis vector d, the directions of f1 in the class of f2's direction 2**d
+    candidates = [np.flatnonzero(cls1[1:] == cls2[1 << d]) + 1 for d in range(n)]
 
     bit = np.arange(n)
     points = np.arange(1 << n)
@@ -319,9 +319,7 @@ def _witnesses(f1: TruthTable, f2: TruthTable, inv1, inv2, budget: float, nodes:
         new = slice(1 << depth, 2 << depth)
         full = slice(0, 2 << depth)
         cls_new, pair_new, cube_new = cls2[new], pair2[new, full], t2[new, full, full]
-        cands = candidates_by_class.get(int(cls_new[0]))
-        if cands is None:
-            return
+        cands = candidates[depth]
         # the class and pair checks of every candidate in one gather; row k
         # of imgs_new holds the new images under cands[k], and a zero in it
         # means cands[k] is already in img

@@ -2,11 +2,13 @@
 
 Functions are given as a catalog name (``fun_4``), a hex truth table
 (16 digits for n=6, 32 for n=7) or an ANF string (``x1x2x3+x1x4x5``);
-``--n`` overrides the variable count inferred from an ANF string.
+``--n`` overrides the variable count inferred from an ANF string; a
+catalog or hex table of another variable count is an error.  ``--out``
+is replaced atomically and keeps the mode ``open(path, "w")`` leaves.
 
 Exit codes: 0 success / all claims confirmed, 1 usage or input errors,
 2 refuted claims (or a search filter contradiction), 3 discrepancies
-only.
+only, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -39,14 +41,19 @@ def resolve_function(spec: str, n: int | None = None) -> TruthTable:
     """Catalog name, hex truth table, or ANF string -> truth table.
 
     Hex is recognised at lengths 16 (n=6) and 32 (n=7) only; anything
-    else is parsed as an ANF string.
+    else is parsed as an ANF string, whose variable count ``n`` overrides;
+    a catalog or hex table whose n differs from ``n`` raises ValueError.
     """
-    if spec in catalog_names():
-        return catalog_function(spec)
     s = spec.strip().lower()
-    if len(s) in (16, 32) and all(c in "0123456789abcdef" for c in s):
-        return TruthTable.from_hex(s, n=n)
-    return truth_table_from_anf(AnfPolynomial.from_string(spec, n=n))
+    if spec in catalog_names():
+        f = catalog_function(spec)
+    elif len(s) in (16, 32) and all(c in "0123456789abcdef" for c in s):
+        f = TruthTable.from_hex(s)
+    else:
+        f = truth_table_from_anf(AnfPolynomial.from_string(spec, n=n))
+    if n not in (None, f.n):
+        raise ValueError(f"{spec} is a function of {f.n} variables, not --n {n}")
+    return f
 
 
 @contextlib.contextmanager
@@ -58,6 +65,9 @@ def _output(path: str | None):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".rm2cover-")
     try:
         with os.fdopen(fd, "w") as handle:
+            umask = os.umask(0)  # for the mode open(path, "w") leaves; reading the umask sets it
+            os.umask(umask)
+            os.fchmod(fd, os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask)
             yield handle
         os.replace(tmp, path)
     finally:
@@ -107,7 +117,7 @@ def build_parser() -> _Parser:
 
     def add_function_arg(p, name="function"):
         p.add_argument(name, help="catalog name, hex truth table, or ANF string")
-        p.add_argument("--n", type=int, default=None, help="variable count override for ANF input")
+        p.add_argument("--n", type=int, default=None, help="variable count: sets an ANF string's, checks a table's")
 
     p = sub.add_parser("nl2", help="exact second-order nonlinearity")
     add_function_arg(p)
@@ -279,6 +289,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # --out keeps its old file, and no temp file stays
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

@@ -77,20 +77,17 @@ class TruthTable:
         return cls(n, np.fromiter(((value >> i) & 1 for i in range(size)), dtype=np.uint8, count=size))
 
     @classmethod
-    def from_hex(cls, text: str, n: int | None = None) -> "TruthTable":
+    def from_hex(cls, text: str) -> "TruthTable":
+        """The table whose hex form is ``text``; its length fixes n."""
         s = text.strip().lower()
         if not s or any(c not in "0123456789abcdef" for c in s):
             raise ValueError(f"not a hex truth table: {text!r}")
-        if n is None:
-            if len(s) not in _HEX_LEN_TO_N:
-                raise ValueError(
-                    f"hex length {len(s)} does not match any table size "
-                    f"(expected one of {sorted(_HEX_LEN_TO_N)})"
-                )
-            n = _HEX_LEN_TO_N[len(s)]
-        elif len(s) * 4 != 1 << n:
-            raise ValueError(f"hex length {len(s)} does not match n={n}")
-        return cls.from_int(n, int(s, 16))
+        if len(s) not in _HEX_LEN_TO_N:
+            raise ValueError(
+                f"hex length {len(s)} does not match any table size "
+                f"(expected one of {sorted(_HEX_LEN_TO_N)})"
+            )
+        return cls.from_int(_HEX_LEN_TO_N[len(s)], int(s, 16))
 
     def to_hex(self) -> str:
         if self.n < 2:

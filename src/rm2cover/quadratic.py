@@ -43,22 +43,22 @@ scan returns (see :func:`min_coset_nonlinearity`) in three steps:
    return the first block minimum below the threshold; steps 1 and 3
    are one scan, so step 3 reuses the q-ranges step 1 transformed.
 
-The scan is vectorised.  At n <= 6 the signs of ``f + q`` for a block
-of 2048 consecutive indices are built from two cached sign tables (low
-/ high index bits) as a ``(2**n, 2048)`` int8 array, one column per
-coset.  The coset axis is innermost, so every stage of the in-place
-Walsh transform along axis 0 is one contiguous operation over whole
-rows of 2048 cosets, and the spectrum maximum is a reduction over rows.
-At n = 7 a block is built from the halves instead: its 2048 forms are
+The scan is vectorised, and :func:`_spectra` alone builds and transforms
+coset blocks: the signs of g + q for k tables g and up to 2048
+consecutive indices, from two cached sign tables (low / high index
+bits), as a ``(2**m, k, count)`` int8 array with the coset axis
+innermost, so every stage of the in-place Walsh transform along axis 0
+is one contiguous operation over whole rows of cosets.  Two reductions
+sit on top.  At n <= 6 a block is f's spectra (k = 1), maximised over
+rows.  At n = 7 it comes from the halves (k = 2): its 2048 forms are
 Q = q + x_7 * l for 512 consecutive 6-variable q and 4 linear l, and
 
     nl(f + Q) = 64 - max over u of (|W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|) / 2,
 
-so one 64-point transform of both halves' signs serves every block of
-the same q-range within a scan call; the (q, l) of every index is an
-XOR span too.  No transform has more than 64 points, so every one runs
-in int8 (partial sums lie in [-64, 64]).  One block iterator feeds every
-reduction (values, minimum, maximum, histogram).
+so one transform of both halves serves every block of the same q-range
+in a scan call.  No transform has more than 64 points, so every one
+runs in int8 (partial sums lie in [-64, 64]).  One block iterator feeds
+every reduction (values, minimum, maximum, histogram).
 """
 
 from __future__ import annotations
@@ -270,31 +270,30 @@ def _sign_tables(n: int):
     return np.ascontiguousarray(chi_low.T), 1 - 2 * _xor_span(monomials[low_bits:]), low_bits
 
 
-def _abs_spectra(w: np.ndarray) -> np.ndarray:
-    """|Walsh spectra| of the columns of an int8 +-1 block, as uint8.
+def _spectra(chi: np.ndarray, start: int, count: int) -> np.ndarray:
+    """|W_(g+q)| for each column g of chi and the ``count`` forms q from
+    index ``start``, as a ``(2**m, k, count)`` uint8 array.
 
-    The block is transformed in place.  Every butterfly partial sum of a
-    +-1 input of at most 64 points lies in [-64, 64], so int8 holds the
-    whole transform exactly; a longer leading axis raises ValueError.
+    chi is a C-contiguous ``(2**m, k)`` int8 +-1 array of k tables of m
+    variables; the range lies in one row of ``_sign_tables(m)``.  Every
+    partial sum of a transform of at most 64 points lies in [-64, 64], so
+    int8 holds it exactly; other dtypes and longer inputs raise ValueError.
     """
-    if w.dtype != np.int8 or w.shape[0] > 64:
-        raise ValueError(f"int8 transforms take at most 64 points, got {w.shape[0]} of {w.dtype}")
+    if chi.dtype != np.int8 or chi.shape[0] > 64:
+        raise ValueError(f"int8 transforms take at most 64 points, got {chi.shape[0]} of {chi.dtype}")
+    chi_low, chi_high, low_bits = _sign_tables(chi.shape[0].bit_length() - 1)
+    col = start & ((1 << low_bits) - 1)
+    w = (chi * chi_high[start >> low_bits][:, None])[:, :, None] * chi_low[:, None, col : col + count]
     fwht_rows(w)
     np.abs(w, out=w)
     return w.view(np.uint8)
 
 
 def _direct_blocks(f: TruthTable):
-    """Block kernel for n <= 6: the (2**n, 2048) sign block, transformed."""
-    chi_low, chi_high, _ = _sign_tables(f.n)
-    chi_f = 1 - 2 * f.bits.astype(np.int8)
-    half = 1 << (f.n - 1)
-
-    def block_nl(hi: int, part: slice) -> np.ndarray:
-        w = (chi_f * chi_high[hi])[:, None] * chi_low
-        return half - (_abs_spectra(w).max(axis=0)[part] >> 1)
-
-    return block_nl
+    """Block kernel for n <= 6: max over u of |W_(f+q)(u)| for each q of block hi."""
+    chi_f = (1 - 2 * f.bits.astype(np.int8))[:, None]
+    size = 1 << _low_bits(f.n)
+    return lambda hi: _spectra(chi_f, hi * size, size)[:, 0].max(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -318,39 +317,31 @@ def _halves_layout(n: int):
 
 
 def _halves_blocks(f: TruthTable):
-    """Block kernel for n = 7 from the halves f = f1 || f2, by
-    W_(f+Q)(u, u_7) = W_(f1+q)(u) +- W_(f2+q)(u ^ l) for Q = q + x_7 * l.
+    """Block kernel for n = 7: max over u of |W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|
+    for each Q = q + x_7 * l of block hi, from the halves f = f1 || f2 by
+    W_(f+Q)(u, u_7) = W_(f1+q)(u) +- W_(f2+q)(u ^ l).
 
-    One 64-point transform of a (64, 2 * 512) int8 block gives both
-    halves' |W| for a q-range and is kept for the scan call's other
-    blocks of that range: 64 KB each, at most 4 MB over the 64 ranges
-    of a full scan.
+    The halves' spectra over a q-range, (64, 2, 512) uint8, are kept for
+    the scan call's other blocks of that range: 64 KB each, at most 4 MB
+    over the 64 ranges of a full scan.
     """
     offsets, q0, l0 = _halves_layout(f.n)
-    chi_low, chi_high, low_bits = _sign_tables(f.n - 1)
-    chi_halves = (1 - 2 * f.bits.astype(np.int8)).reshape(2, -1).T  # column h: half h's signs
-    width = chi_halves.shape[0]
+    chi_halves = np.ascontiguousarray((1 - 2 * f.bits.astype(np.int8)).reshape(2, -1).T)  # column h: half h
     q_span = offsets.size // 4
-    rows = np.arange(width)[:, None] ^ np.arange(4)  # u ^ l over the block's 4 low l bits
-    half = 1 << (f.n - 1)
-    spectra: dict[int, np.ndarray] = {}
+    rows = np.arange(len(chi_halves))[:, None] ^ np.arange(4)  # u ^ l over the block's 4 low l bits
+    spectra = lru_cache(maxsize=None)(lambda q: _spectra(chi_halves, q, q_span))  # this scan call's q-ranges
 
-    def block_nl(hi: int, part: slice) -> np.ndarray:
-        q = int(q0[hi])
-        spec = spectra.get(q)
-        if spec is None:
-            col = q & ((1 << low_bits) - 1)
-            signs = (chi_halves * chi_high[q >> low_bits][:, None])[:, :, None] * chi_low[:, None, col : col + q_span]
-            spec = spectra[q] = _abs_spectra(signs.reshape(width, -1)).reshape(width, 2, q_span)
+    def block_max(hi: int) -> np.ndarray:
+        spec = spectra(int(q0[hi]))
         sums = spec[rows ^ l0[hi], 1]  # |W_(f2+q)(u ^ l)|, shape (64, 4, 512)
         sums += spec[:, None, 0]  # at most 64 + 64: fits uint8
-        return half - (sums.max(axis=0).ravel()[offsets[part]] >> 1)
+        return sums.max(axis=0).ravel()[offsets]
 
-    return block_nl
+    return block_max
 
 
 def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
-    """nl(f + q) for the quadratic indices in [start, stop), one block at a time."""
+    """nl(f + q) = 2**(n-1) - max / 2 for the quadratic indices in [start, stop), one block at a time."""
     if f.n < 2:
         raise ValueError("coset scans need n >= 2")
     total = form_count(f.n)
@@ -361,10 +352,11 @@ def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np
     if start == stop:
         return
     low_bits = _low_bits(f.n)
-    block_nl = _halves_blocks(f) if f.n == 7 else _direct_blocks(f)
+    block_max = _halves_blocks(f) if f.n == 7 else _direct_blocks(f)
+    half = 1 << (f.n - 1)
     for hi in range(start >> low_bits, ((stop - 1) >> low_bits) + 1):
         lo0 = hi << low_bits
-        yield block_nl(hi, slice(max(start - lo0, 0), stop - lo0))
+        yield half - (block_max(hi)[max(start - lo0, 0) : stop - lo0] >> 1)
 
 
 def coset_nonlinearities(f: TruthTable, start: int = 0, stop: int | None = None) -> np.ndarray:

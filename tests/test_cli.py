@@ -1,7 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
+import stat
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,6 +85,21 @@ class TestBasicCommands:
         code, out, _ = invoke(capsys, "profile", "fun_3", "--format", "csv", "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text() == GOLDEN_FUN3_CSV
+
+    @pytest.mark.parametrize("umask, new_mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"])
+    def test_out_file_mode_is_that_of_a_plain_write(self, capsys, tmp_path, umask, new_mode):
+        # a new file gets 0o666 less the umask, an existing one keeps its mode
+        new, existing = tmp_path / "new.json", tmp_path / "existing.json"
+        existing.write_text("previous run\n")
+        existing.chmod(0o664)
+        old_umask = os.umask(umask)
+        try:
+            codes = [invoke(capsys, "profile", "fun_6", "--out", str(path))[0] for path in (new, existing)]
+        finally:
+            os.umask(old_umask)
+        assert codes == [0, 0] and existing.read_text() == new.read_text()
+        assert stat.S_IMODE(new.stat().st_mode) == new_mode
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o664
 
     def test_fh_json(self, capsys):
         code, out, _ = invoke(capsys, "fh", "fun_3", "28", "--format", "json")
@@ -204,6 +222,29 @@ class TestSearchCommand:
         assert target.read_bytes() == b"previous run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 
+    def test_interrupt_exits_130_and_keeps_out_file(self, capsys, monkeypatch, tmp_path):
+        from rm2cover import search
+
+        def interrupted_search(cfg, on_record):
+            for k in range(2):
+                on_record(SimpleNamespace(as_json_dict=lambda k=k: {"candidate": k}))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "witness_search", interrupted_search)
+        target = tmp_path / "records.jsonl"
+        target.write_bytes(b"previous run\n")
+        argv = ["search", "--i1", "4", "--i2", "6"]
+        try:
+            to_file = invoke(capsys, *argv, "--out", str(target))
+            to_stdout = invoke(capsys, *argv)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped cli.run")
+        for code, out, err in (to_file, to_stdout):
+            assert code == 130 and err.splitlines()[-1] == "interrupted" and "Traceback" not in err
+        assert to_file[1] == "" and to_stdout[1] == '{"candidate": 0}\n{"candidate": 1}\n'
+        assert target.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
     def test_search_stdout_pinned(self, capsys):
         # SHA-256 of the 20 JSONL records and the summary, recorded when each
         # candidate half was still scanned directly
@@ -303,3 +344,9 @@ class TestErrors:
     def test_hex_with_wrong_n(self, capsys):
         code, _, err = invoke(capsys, "nl2", "0" * 16, "--n", "7")
         assert code == 1
+
+    def test_catalog_name_with_wrong_n(self, capsys):
+        code, out, err = invoke(capsys, "fh", "fun_4", "16", "--n", "7")
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: fun_4 is a function of 6 variables, not --n 7"
+        assert invoke(capsys, "fh", "fun_4", "16", "--n", "6")[0] == 0

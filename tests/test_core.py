@@ -60,8 +60,6 @@ class TestTruthTable:
             TruthTable.from_hex("zz")
         with pytest.raises(ValueError):
             TruthTable.from_hex("0" * 5)
-        with pytest.raises(ValueError):
-            TruthTable.from_hex("0" * 16, n=7)
 
     def test_xor_and_eq(self):
         t = catalog_function("fun_1") ^ catalog_function("fun_2")

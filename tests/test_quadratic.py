@@ -24,6 +24,7 @@ from rm2cover import (
     nonlinearity,
     second_order_nonlinearity,
     truth_table_from_anf,
+    walsh_spectrum,
 )
 from rm2cover.affine import apply_affine, random_affine_map, sample_affine_map
 from rm2cover.cli import resolve_function
@@ -398,12 +399,51 @@ class TestHalvesBlocks:
         assert points and max(points) <= 64
 
     def test_int8_transform_takes_at_most_64_points(self):
-        w = np.ones((64, 3), dtype=np.int8)
-        assert quadratic._abs_spectra(w)[:, 0].tolist() == [64] + [0] * 63
+        chi = np.ones((64, 3), dtype=np.int8)
+        assert quadratic._spectra(chi, 0, 1)[:, 0, 0].tolist() == [64] + [0] * 63  # q_0 = 0
         with pytest.raises(ValueError):
-            quadratic._abs_spectra(np.ones((128, 3), dtype=np.int8))
+            quadratic._spectra(np.ones((128, 3), dtype=np.int8), 0, 1)
         with pytest.raises(ValueError):
-            quadratic._abs_spectra(np.ones((64, 3), dtype=np.int16))
+            quadratic._spectra(np.ones((64, 3), dtype=np.int16), 0, 1)
+
+
+class TestSpectra:
+    """_spectra, the one place that builds and transforms coset blocks."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_matches_walsh_spectrum_of_anf_route(self, m, k):
+        rng = np.random.default_rng(10 * m + k)
+        row = 1 << quadratic._low_bits(m)  # forms per sign-table row
+        tables = [TruthTable(m, bits) for bits in random_tables(rng, k, m)]
+        chi = np.ascontiguousarray(np.stack([1 - 2 * t.bits.astype(np.int8) for t in tables], axis=1))
+        for _ in range(3):
+            start = int(rng.integers(0, form_count(m)))
+            count = int(rng.integers(1, row - start % row + 1))
+            spec = quadratic._spectra(chi, start, count)
+            assert spec.dtype == np.uint8 and spec.shape == (1 << m, k, count)
+            for c in range(count):
+                q = QuadraticForm(m, start + c).truth_table()
+                for j, g in enumerate(tables):
+                    assert np.array_equal(spec[:, j, c], np.abs(walsh_spectrum(g ^ q).values)), (start + c, j)
+
+    def test_every_transform_and_sign_table_read_is_in_spectra(self, monkeypatch):
+        from rm2cover import claims, search
+
+        callers = {"fwht_rows": Counter(), "_sign_tables": Counter()}
+        for name, counter in callers.items():
+            def counting(*args, original=getattr(quadratic, name), counter=counter):
+                counter[sys._getframe(1).f_code.co_name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(quadratic, name, counting)
+        quadratic.coset_values.cache_clear()
+        claims.verify_all()
+        f = TruthTable.from_hex(STEP3_TABLE)
+        assert search.exact_nl2_7(f, threshold=41) == (40, False)
+        quadratic.coset_values(f)
+        assert list(callers["fwht_rows"]) == ["_spectra"]
+        assert callers["_sign_tables"] == callers["fwht_rows"]  # one sign block per transform
 
 
 def _permuted_values(vals: np.ndarray, matrix, quad_index: int) -> np.ndarray:
