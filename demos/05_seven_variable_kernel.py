@@ -1,9 +1,10 @@
 """The exact 7-variable second-order nonlinearity kernel.
 
 The minimum over all 2^21 homogeneous quadratics comes from the two
-6-variable halves, min over q of nl(f1 + q) + nl(f2 + q): two batched
-int8 Walsh scans of 2^15 cosets (4-6 ms warm on a 2-core Xeon host
-with numpy 2.4; the first call also builds the sign tables).  An
+6-variable halves, min over q of nl(f1 + q) + nl(f2 + q): one pass of
+16 batched int8 Walsh transforms, each of both halves over 2048 q
+(2.8-3.1 ms warm on a 2-core Xeon host with numpy 2.4, medians of 50
+calls; the first call also builds the sign tables).  An
 early-exit threshold turns the kernel into an upper-bound prover: its
 result is that of a block scan stopped at the end of the first
 2048-coset block whose running minimum is below the threshold.  Those

@@ -52,6 +52,8 @@ class TruthTable:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
+        if getattr(self.bits, "dtype", None) not in (np.uint8, np.bool_) and not np.isin(self.bits, (0, 1)).all():
+            raise ValueError("table entries must be 0 or 1")  # checked before the cast can wrap or truncate
         b = np.ascontiguousarray(self.bits, dtype=np.uint8)
         if b.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} table entries, got {b.shape}")

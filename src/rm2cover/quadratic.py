@@ -30,15 +30,17 @@ construction of Reed-Muller codes), so
     min over Q of nl(f + Q) = min over q of s[q],
     s[q] = nl(f1 + q) + nl(f2 + q).
 
-At n = 7 that is two scans of 2**15 cosets of 64 points instead of one
-of 2**21 cosets of 128.  Threshold mode returns what a direct block
-scan returns (see :func:`min_coset_nonlinearity`) in three steps:
+One pass transforms both halves together, one range of q at a time:
+at n = 7, 16 transforms of 2048 cosets of two 64-point halves instead
+of one scan of 2**21 cosets of 128 points.  Threshold mode returns what
+a direct block scan returns (see :func:`min_coset_nonlinearity`) in
+three steps:
 
 1. scan the whole blocks among the first ``form_count(n - 1)`` indices
    block by block (16 at n = 7 over 8 q-ranges, none at n <= 6), and
    return at the first block whose minimum is below the threshold;
-2. otherwise, if ``min s`` is not below the threshold, it is the exact
-   minimum;
+2. otherwise, if ``min s`` (the pass above) is not below the
+   threshold, it is the exact minimum;
 3. otherwise scan on from the end of step 1, in index order, and
    return the first block minimum below the threshold; steps 1 and 3
    are one scan, so step 3 reuses the q-ranges step 1 transformed.
@@ -48,17 +50,18 @@ coset blocks: the signs of g + q for k tables g and up to 2048
 consecutive indices, from two cached sign tables (low / high index
 bits), as a ``(2**m, k, count)`` int8 array with the coset axis
 innermost, so every stage of the in-place Walsh transform along axis 0
-is one contiguous operation over whole rows of cosets.  Two reductions
-sit on top.  At n <= 6 a block is f's spectra (k = 1), maximised over
-rows.  At n = 7 it comes from the halves (k = 2): its 2048 forms are
-Q = q + x_7 * l for 512 consecutive 6-variable q and 4 linear l, and
+is one contiguous operation over whole rows of cosets.  ``min s`` is
+one reduction on top, and the block scan two more.  At n <= 6 a block
+is f's spectra (k = 1), maximised over rows.  At n = 7 it comes from
+the halves (k = 2): its 2048 forms are Q = q + x_7 * l for 512
+consecutive 6-variable q and 4 linear l, and
 
     nl(f + Q) = 64 - max over u of (|W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|) / 2,
 
 so one transform of both halves serves every block of the same q-range
 in a scan call.  No transform has more than 64 points, so every one
 runs in int8 (partial sums lie in [-64, 64]).  One block iterator feeds
-every reduction (values, minimum, maximum, histogram).
+every other reduction (values, threshold blocks, maximum, histogram).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .core import AnfPolynomial, TruthTable, _bits_to_hex, fwht_rows, split, truth_table_from_anf
+from .core import AnfPolynomial, TruthTable, _bits_to_hex, fwht_rows, truth_table_from_anf
 
 # Block size: 2**LOW_BITS cosets per batched transform.  It is part of
 # the results, not only of the speed: threshold mode returns the minimum
@@ -111,7 +114,9 @@ class QuadraticForm:
         pos = {pq: p for p, pq in enumerate(variable_pairs(n))}
         index = 0
         for i, j in pairs:
-            index ^= 1 << pos[(min(i, j), max(i, j))]
+            if (bit := pos.get((min(i, j), max(i, j)))) is None:
+                raise ValueError(f"pair ({i}, {j}) is not two distinct variables of 1..{n}")
+            index ^= 1 << bit  # a pair listed twice cancels, as over GF(2)
         return cls(n, index)
 
     def coefficient_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -316,6 +321,12 @@ def _halves_layout(n: int):
     return l_low * (int(q_low.max()) + 1) + q_low, q0, l0
 
 
+def _halves_chi(f: TruthTable) -> np.ndarray:
+    """The halves f = f1 || f2 as the columns of a C-contiguous
+    ``(2**(n-1), 2)`` int8 +-1 array, the k = 2 input of :func:`_spectra`."""
+    return np.ascontiguousarray((1 - 2 * f.bits.astype(np.int8)).reshape(2, -1).T)
+
+
 def _halves_blocks(f: TruthTable):
     """Block kernel for n = 7: max over u of |W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|
     for each Q = q + x_7 * l of block hi, from the halves f = f1 || f2 by
@@ -326,7 +337,7 @@ def _halves_blocks(f: TruthTable):
     over the 64 ranges of a full scan.
     """
     offsets, q0, l0 = _halves_layout(f.n)
-    chi_halves = np.ascontiguousarray((1 - 2 * f.bits.astype(np.int8)).reshape(2, -1).T)  # column h: half h
+    chi_halves = _halves_chi(f)
     q_span = offsets.size // 4
     rows = np.arange(len(chi_halves))[:, None] ^ np.arange(4)  # u ^ l over the block's 4 low l bits
     spectra = lru_cache(maxsize=None)(lambda q: _spectra(chi_halves, q, q_span))  # this scan call's q-ranges
@@ -385,8 +396,9 @@ def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> Nl2Re
     """Minimum of nl(f + q) over all quadratics q.
 
     At n >= 3 this is min over (n-1)-variable forms q of
-    s[q] = nl(f1 + q) + nl(f2 + q) for the halves f = f1 || f2, from two
-    uncached half scans; at n = 2 it is the one block of the direct scan.
+    s[q] = nl(f1 + q) + nl(f2 + q) for the halves f = f1 || f2, from one
+    uncached pass that transforms both halves together per range of q
+    (16 at n = 7, one below); at n = 2 it is the one direct block.
     Without a threshold the result is exact.
 
     With ``threshold`` the result is that of a direct block-by-block
@@ -407,9 +419,10 @@ def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> Nl2Re
         best = _first_below(itertools.islice(blocks, head), threshold)
         if best is not None:
             return Nl2Result(best, False)
-    f1, f2 = split(f)
-    s = coset_nonlinearities(f1) + coset_nonlinearities(f2)  # below 2**(n-1): fits uint8
-    best = int(s.min())
+    chi_halves, size = _halves_chi(f), 1 << _low_bits(f.n - 1)
+    maxima = (_spectra(chi_halves, q, size).max(axis=0) for q in range(0, form_count(f.n - 1), size))
+    top = max(int((m[0] + m[1]).max()) for m in maxima)  # the halves' max |W| summed: at most 128, fits uint8
+    best = (1 << (f.n - 1)) - (top >> 1)
     if threshold is None or best >= threshold:
         return Nl2Result(best, True)
     return Nl2Result(_first_below(blocks, threshold), False)

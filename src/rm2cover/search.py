@@ -50,7 +50,8 @@ def exact_nl2_7(f: TruthTable, threshold: int | None = None) -> Nl2Result:
 
     The minimum over the 2**21 homogeneous quadratics is taken from the
     two 6-variable halves f1 || f2 as min over q of nl(f1 + q) + nl(f2 + q)
-    (:func:`quadratic.min_coset_nonlinearity`): two scans of 2**15 cosets.
+    (:func:`quadratic.min_coset_nonlinearity`): 16 transforms of 2048
+    cosets, each of both 64-point halves together.
     With ``threshold`` the result is that of a direct scan in blocks of
     2048 stopped at the end of the first block whose running minimum is
     below it: that minimum, an upper bound proving nl2 < threshold

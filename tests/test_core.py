@@ -34,6 +34,18 @@ class TestTruthTable:
         with pytest.raises(ValueError):
             TruthTable(2, np.array([0, 1, 2, 0], dtype=np.uint8))
 
+    @pytest.mark.parametrize("entries", [[256, 0, 0, 1], [-255, 0, 0, 1], [0.5, 1, 0, 1], [np.nan, 0, 0, 1]])
+    def test_entries_are_checked_before_the_uint8_cast(self, entries):
+        # the cast alone would wrap 256 to 0 and -255 to 1 and truncate 0.5 to 0
+        for bits in (entries, np.array(entries)):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                TruthTable(2, bits)
+
+    def test_entries_of_other_dtypes_that_are_0_or_1(self):
+        expected = TruthTable(2, np.array([0, 1, 1, 1], dtype=np.uint8))
+        for bits in ([0, 1, 1, 1], [False, True, True, True], np.array([0.0, 1, 1, 1]), np.int8([0, 1, 1, 1])):
+            assert TruthTable(2, bits) == expected
+
     def test_bits_frozen(self):
         t = TruthTable.zeros(3)
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from rm2cover import (
     nfh_profile,
     nonlinearity,
     second_order_nonlinearity,
+    split,
     truth_table_from_anf,
     walsh_spectrum,
 )
@@ -119,6 +120,15 @@ class TestEnumeration:
                 q = QuadraticForm(n, int(index))
                 assert QuadraticForm.from_pairs(n, q.coefficient_pairs()).index == q.index
 
+    @pytest.mark.parametrize("pair", [(1, 1), (1, 9), (0, 2), (7, 3)])
+    def test_from_pairs_rejects_pairs_that_are_not_two_variables(self, pair):
+        with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\)"):
+            QuadraticForm.from_pairs(6, [(1, 2), pair])
+
+    def test_from_pairs_cancels_a_pair_listed_twice(self):
+        assert QuadraticForm.from_pairs(6, [(1, 2), (2, 1)]).index == 0
+        assert QuadraticForm.from_pairs(6, [(1, 2), (3, 5), (1, 2)]) == QuadraticForm.from_pairs(6, [(5, 3)])
+
     def test_index_bit_order_is_lexicographic(self):
         assert variable_pairs(4) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
         q = QuadraticForm(4, 0b000101)
@@ -211,7 +221,15 @@ class TestHalvesRoute:
     """The minimum from the halves' sums s[q] = nl(f1 + q) + nl(f2 + q)
     against the oracles, and the three steps of threshold mode."""
 
+    @staticmethod
+    def two_half_scans(f: TruthTable) -> int:
+        """The minimum by the earlier route, kept as an oracle: the sum of
+        the halves' coset values from two direct scans."""
+        f1, f2 = split(f)
+        return int((coset_nonlinearities(f1) + coset_nonlinearities(f2)).min())
+
     def assert_matches(self, f: TruthTable, block_mins: list[int], exact: int) -> None:
+        assert self.two_half_scans(f) == exact
         assert min_coset_nonlinearity(f) == _oracle_threshold_min(block_mins, None) == (exact, True)
         for offset in (-1, 0, 1, 2, 4):
             threshold = exact + offset
@@ -244,28 +262,77 @@ class TestHalvesRoute:
         # from form_count(7), whose 16 head blocks hold no value below 35
         f = TruthTable.from_hex(STEP3_TABLE)
         assert min_coset_nonlinearity(f, 35) == (34, False)
-        # 8 q-ranges for the 16 head blocks, 2 x 16 blocks for the halves, then
-        # the q-ranges of blocks 16 .. 167 (the exit block) in the same scan:
-        # 56, of which the 8 of the head are already transformed
-        assert Counter(transforms) == {64: 8 + 32 + 48}
+        # 8 q-ranges for the 16 head blocks, 16 ranges of both halves for
+        # their minimum, then the q-ranges of blocks 16 .. 167 (the exit
+        # block) in the same scan: 56, of which the 8 of the head are
+        # already transformed
+        assert Counter(transforms) == {64: 8 + 16 + 48}
 
     def test_step2_returns_exact_minimum_of_halves(self, transforms):
         f = concatenate(catalog_function("fun_4"), catalog_function("fun_6"))
         assert min_coset_nonlinearity(f, 32) == (32, True)
-        assert Counter(transforms) == {64: 8 + 32}
+        assert Counter(transforms) == {64: 8 + 16}
 
     def test_exhaustive_n7_scans_only_the_halves(self, monkeypatch):
-        scans = Counter()
-        scan = quadratic._scan
+        calls = Counter()
+        scan, fwht_rows = quadratic._scan, quadratic.fwht_rows
 
         def counting_scan(f, *args):
-            scans[f.n] += 1
+            calls["_scan", f.n] += 1
             return scan(f, *args)
 
+        def counting_transform(a):
+            calls[a.dtype.name, a.shape] += 1
+            fwht_rows(a)
+
         monkeypatch.setattr(quadratic, "_scan", counting_scan)
+        monkeypatch.setattr(quadratic, "fwht_rows", counting_transform)
         f = concatenate(catalog_function("fun_4"), catalog_function("fun_6"))
         assert min_coset_nonlinearity(f) == (32, True)
-        assert scans == {6: 2}
+        assert calls == {("int8", (64, 2, 2048)): 16}  # both halves per range of q, no block scan
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_one_pass_matches_two_half_scans(self, n):
+        rng = np.random.default_rng(2400 + n)
+        tables = [TruthTable(n, bits) for bits in random_tables(rng, 4 if n == 7 else 12, n)]
+        for f in tables + [TruthTable.zeros(n), TruthTable.ones(n)]:
+            exact = self.two_half_scans(f)
+            assert min_coset_nonlinearity(f) == (exact, True)
+            for threshold in (exact - 3, exact, exact + 1, exact + 2, exact + 5):
+                value, is_exact = min_coset_nonlinearity(f, threshold)
+                if threshold <= exact:
+                    assert (value, is_exact) == (exact, True), threshold
+                else:
+                    assert not is_exact and exact <= value < threshold, threshold
+
+    def test_benchmark_rounds_run_the_pass_only_in_scan7(self, bench_workloads, monkeypatch):
+        # verify's and search's n=7 threshold checks all exit in step 1
+        log = []
+
+        def record(name, entry):
+            original = getattr(quadratic, name)
+
+            def wrapper(*args, **kwargs):
+                log.append(entry(sys._getframe(1).f_code.co_name, *args, **kwargs))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(quadratic, name, wrapper)
+
+        record("fwht_rows", lambda caller, a: (a.dtype.name, a.shape))
+        record("_scan", lambda caller, f, *args: "_scan")
+        record("_halves_chi", lambda caller, f: "pass" if caller == "min_coset_nonlinearity" else "blocks")
+        record("min_coset_nonlinearity", lambda caller, f, threshold=None: (f.n, threshold is not None))
+        for name in ("verify", "scan7", "search"):
+            workload = bench_workloads.WORKLOADS[name]
+            for key in next(workload.rounds(0)):
+                inp = workload.make_input(key)
+                log.clear()
+                workload.run(inp)
+                ops = Counter(log)
+                if name == "scan7":
+                    assert ops == {(7, False): 1, "pass": 1, ("int8", (64, 2, 2048)): 16}, key
+                else:
+                    assert ops[7, True] > 0 and "pass" not in ops and "_scan" in ops, (name, key)
 
     def test_fresh_halves_are_not_cached(self, rng):
         quadratic.coset_values(catalog_function("fun_4"))
