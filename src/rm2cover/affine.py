@@ -31,7 +31,7 @@ import numpy as np
 
 from . import quadratic
 from .core import AnfPolynomial, MAX_VARS, TruthTable, anf_from_truth_table, fwht_rows, truth_table_from_anf
-from .core import _anf_from_coefficients, _moebius
+from .core import _anf_from_coefficients, _bit_array, _moebius
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -72,8 +72,8 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.ascontiguousarray(self.matrix, dtype=np.uint8) & 1
-        b = np.ascontiguousarray(self.offset, dtype=np.uint8) & 1
+        # own copies, so freezing them leaves the caller's arrays writable
+        a, b = _bit_array(self.matrix, "matrix").copy(), _bit_array(self.offset, "offset").copy()
         if a.shape != (self.n, self.n) or b.shape != (self.n,):
             raise ValueError(f"expected a {self.n}x{self.n} matrix and length-{self.n} offset")
         if not is_invertible(a):

@@ -37,6 +37,17 @@ def _check_n(n: int) -> None:
         raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
 
 
+def _bit_array(values, what: str) -> np.ndarray:
+    """values as a C-contiguous uint8 array; entries other than 0 or 1
+    raise ValueError, checked before the cast can wrap or truncate them."""
+    if getattr(values, "dtype", None) not in (np.uint8, np.bool_) and not np.isin(values, (0, 1)).all():
+        raise ValueError(f"{what} entries must be 0 or 1")
+    b = np.ascontiguousarray(values, dtype=np.uint8)
+    if b.max(initial=0) > 1:
+        raise ValueError(f"{what} entries must be 0 or 1")
+    return b
+
+
 def _bits_to_hex(bits: np.ndarray) -> str:
     """The bits as an integer with bit i = entry i, in len/4 hex digits."""
     packed = np.packbits(bits, bitorder="little").tobytes()
@@ -52,13 +63,9 @@ class TruthTable:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
-        if getattr(self.bits, "dtype", None) not in (np.uint8, np.bool_) and not np.isin(self.bits, (0, 1)).all():
-            raise ValueError("table entries must be 0 or 1")  # checked before the cast can wrap or truncate
-        b = np.ascontiguousarray(self.bits, dtype=np.uint8)
+        b = _bit_array(self.bits, "table")
         if b.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} table entries, got {b.shape}")
-        if b.max(initial=0) > 1:
-            raise ValueError("table entries must be 0 or 1")
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
 

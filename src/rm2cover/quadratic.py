@@ -21,7 +21,7 @@ those rows (:func:`_xor_span`).  A table in the affine orbit
 of f modulo degree 2, f(Ax + b) + q_k + l, needs no scan: its array is
 f's permuted by :func:`form_map`, the XOR span of the pairs' images.
 
-The minimum at n >= 3 comes from the halves f = f1 || f2 on x_n = 0 and
+The minimum comes from the halves f = f1 || f2 on x_n = 0 and
 x_n = 1.  A homogeneous quadratic in n variables is q + x_n * l with q
 a quadratic in the first n - 1 variables and l linear, and the linear
 part is absorbed by the affine functions on each half (the (u | u + v)
@@ -50,13 +50,13 @@ coset blocks: the signs of g + q for k tables g and up to 2048
 consecutive indices, from two cached sign tables (low / high index
 bits), as a ``(2**m, k, count)`` int8 array with the coset axis
 innermost, so every stage of the in-place Walsh transform along axis 0
-is one contiguous operation over whole rows of cosets.  ``min s`` is
-one reduction on top, and the block scan two more.  At n <= 6 a block
-is f's spectra (k = 1), maximised over rows.  At n = 7 it comes from
-the halves (k = 2): its 2048 forms are Q = q + x_7 * l for 512
-consecutive 6-variable q and 4 linear l, and
+is one contiguous operation over whole rows of cosets.  Its input is
+always the halves (k = 2).  ``min s`` is one reduction on top, and the
+block scan, the one kernel for every n from 2 to 7, two more: a block's
+2048 forms (all of them at n <= 5) are Q = q + x_n * l for consecutive
+(n-1)-variable q and linear l (512 q and 4 l at n = 6 and 7), and
 
-    nl(f + Q) = 64 - max over u of (|W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|) / 2,
+    nl(f + Q) = 2**(n-1) - max over u of (|W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|) / 2,
 
 so one transform of both halves serves every block of the same q-range
 in a scan call.  No transform has more than 64 points, so every one
@@ -74,9 +74,9 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .core import AnfPolynomial, TruthTable, _bits_to_hex, fwht_rows, truth_table_from_anf
+from .core import AnfPolynomial, TruthTable, _bits_to_hex, _check_n, fwht_rows, truth_table_from_anf
 
-# Block size: 2**LOW_BITS cosets per batched transform.  It is part of
+# Block size: 2**LOW_BITS cosets per block.  It is part of
 # the results, not only of the speed: threshold mode returns the minimum
 # of the first block below the threshold, so its upper bound
 # (``SearchRecord.nl2_value``, ``rm2cover nl2 --threshold``) depends on
@@ -106,6 +106,7 @@ class QuadraticForm:
     index: int
 
     def __post_init__(self) -> None:
+        _check_n(self.n)
         if not 0 <= self.index < form_count(self.n):
             raise ValueError(f"index {self.index} out of range for n={self.n}")
 
@@ -261,7 +262,7 @@ def _low_bits(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sign_tables(n: int):
-    """Cached (chi_low, chi_high, low_bits) sign tables for n <= 6.
+    """Cached (chi_low, chi_high, low_bits) sign tables for n = 1 .. 6.
 
     chi_low[:, k] (a column) is the +-1 table of the quadratic whose index
     is k over the low index bits, so chi_low has shape
@@ -294,57 +295,53 @@ def _spectra(chi: np.ndarray, start: int, count: int) -> np.ndarray:
     return w.view(np.uint8)
 
 
-def _direct_blocks(f: TruthTable):
-    """Block kernel for n <= 6: max over u of |W_(f+q)(u)| for each q of block hi."""
-    chi_f = (1 - 2 * f.bits.astype(np.int8))[:, None]
-    size = 1 << _low_bits(f.n)
-    return lambda hi: _spectra(chi_f, hi * size, size)[:, 0].max(axis=0)
-
-
 @lru_cache(maxsize=None)
 def _halves_layout(n: int):
-    """(offsets, q0, l0) for n-variable blocks built from the halves.
+    """(offsets, q0, l0, q_span) for n-variable blocks built from the halves.
 
     A form index splits as Q = q + x_n * l: its bit of a pair (i, n) is
     bit i - 1 of the linear l, its other bits are those of q's
-    (n-1)-variable index, in the same order.  At n = 7 the low 11 bits
-    hold the pairs (1, 7) and (2, 7), so block ``hi`` is the 512
-    consecutive q from ``q0[hi]`` times the 4 l from ``l0[hi]``, and
-    index ``(hi << 11) + k`` reads entry ``offsets[k]`` of the block's
-    (4, 512) values (row l ^ l0[hi], column q - q0[hi]).  The q and l
-    parts of the low and high index bits are XOR spans of their weights.
+    (n-1)-variable index, in the same order.  The low index bits hold
+    the pairs (1, n) .. (k, n) and a prefix of q's bits, so block ``hi``
+    is the ``q_span`` consecutive q from ``q0[hi]`` times the 2**k l
+    from ``l0[hi]``, and index ``(hi << low_bits) + j`` reads entry
+    ``offsets[j]`` of the block's (2**k, q_span) values (row l ^ l0[hi],
+    column q - q0[hi]).  The q and l parts of the low and high index
+    bits are XOR spans of their weights.
     """
     low_bits = _low_bits(n)
     q_bit = {pq: p for p, pq in enumerate(variable_pairs(n - 1))}
     q_l = np.array([(0, 1 << (i - 1)) if j == n else (1 << q_bit[i, j], 0) for i, j in variable_pairs(n)])
     (q_low, l_low), (q0, l0) = _xor_span(q_l[:low_bits]).T, _xor_span(q_l[low_bits:]).T
-    return l_low * (int(q_low.max()) + 1) + q_low, q0, l0
+    q_span = int(q_low.max()) + 1
+    return l_low * q_span + q_low, q0, l0, q_span
 
 
 def _halves_chi(f: TruthTable) -> np.ndarray:
     """The halves f = f1 || f2 as the columns of a C-contiguous
-    ``(2**(n-1), 2)`` int8 +-1 array, the k = 2 input of :func:`_spectra`."""
+    ``(2**(n-1), 2)`` int8 +-1 array: the input of every coset scan."""
+    if f.n < 2:
+        raise ValueError("coset scans need n >= 2")
     return np.ascontiguousarray((1 - 2 * f.bits.astype(np.int8)).reshape(2, -1).T)
 
 
 def _halves_blocks(f: TruthTable):
-    """Block kernel for n = 7: max over u of |W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|
-    for each Q = q + x_7 * l of block hi, from the halves f = f1 || f2 by
-    W_(f+Q)(u, u_7) = W_(f1+q)(u) +- W_(f2+q)(u ^ l).
+    """The block kernel: max over u of |W_(f1+q)(u)| + |W_(f2+q)(u ^ l)|
+    for each Q = q + x_n * l of block hi, from the halves f = f1 || f2 by
+    W_(f+Q)(u, u_n) = W_(f1+q)(u) +- W_(f2+q)(u ^ l).
 
-    The halves' spectra over a q-range, (64, 2, 512) uint8, are kept for
-    the scan call's other blocks of that range: 64 KB each, at most 4 MB
-    over the 64 ranges of a full scan.
+    The halves' spectra over a q-range, (2**(n-1), 2, q_span) uint8, are
+    kept for the scan call's other blocks of that range: at n = 7, 64 KB
+    each and at most 4 MB over the 64 ranges of a full scan.
     """
-    offsets, q0, l0 = _halves_layout(f.n)
     chi_halves = _halves_chi(f)
-    q_span = offsets.size // 4
-    rows = np.arange(len(chi_halves))[:, None] ^ np.arange(4)  # u ^ l over the block's 4 low l bits
+    offsets, q0, l0, q_span = _halves_layout(f.n)
+    rows = np.arange(len(chi_halves))[:, None] ^ np.arange(offsets.size // q_span)  # u ^ l over the block's low l bits
     spectra = lru_cache(maxsize=None)(lambda q: _spectra(chi_halves, q, q_span))  # this scan call's q-ranges
 
     def block_max(hi: int) -> np.ndarray:
         spec = spectra(int(q0[hi]))
-        sums = spec[rows ^ l0[hi], 1]  # |W_(f2+q)(u ^ l)|, shape (64, 4, 512)
+        sums = spec[rows ^ l0[hi], 1]  # |W_(f2+q)(u ^ l)|, shape (2**(n-1), 2**k, q_span)
         sums += spec[:, None, 0]  # at most 64 + 64: fits uint8
         return sums.max(axis=0).ravel()[offsets]
 
@@ -353,8 +350,7 @@ def _halves_blocks(f: TruthTable):
 
 def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
     """nl(f + q) = 2**(n-1) - max / 2 for the quadratic indices in [start, stop), one block at a time."""
-    if f.n < 2:
-        raise ValueError("coset scans need n >= 2")
+    block_max = _halves_blocks(f)
     total = form_count(f.n)
     if stop is None:
         stop = total
@@ -363,7 +359,6 @@ def _scan(f: TruthTable, start: int = 0, stop: int | None = None) -> Iterator[np
     if start == stop:
         return
     low_bits = _low_bits(f.n)
-    block_max = _halves_blocks(f) if f.n == 7 else _direct_blocks(f)
     half = 1 << (f.n - 1)
     for hi in range(start >> low_bits, ((stop - 1) >> low_bits) + 1):
         lo0 = hi << low_bits
@@ -395,11 +390,11 @@ class Nl2Result(NamedTuple):
 def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> Nl2Result:
     """Minimum of nl(f + q) over all quadratics q.
 
-    At n >= 3 this is min over (n-1)-variable forms q of
+    This is min over (n-1)-variable forms q of
     s[q] = nl(f1 + q) + nl(f2 + q) for the halves f = f1 || f2, from one
     uncached pass that transforms both halves together per range of q
-    (16 at n = 7, one below); at n = 2 it is the one direct block.
-    Without a threshold the result is exact.
+    (16 at n = 7, one below; at n = 2 the only q is 0).  Without a
+    threshold the result is exact.
 
     With ``threshold`` the result is that of a direct block-by-block
     scan stopped at the end of the first block whose running minimum is
@@ -410,9 +405,6 @@ def min_coset_nonlinearity(f: TruthTable, threshold: int | None = None) -> Nl2Re
     not below the threshold; (3) else scan the later blocks, in index
     order.  A returned True always means the exact minimum.
     """
-    if f.n < 3:  # one block, and 1-variable halves have no quadratic forms
-        best = int(coset_nonlinearities(f).min())
-        return Nl2Result(best, threshold is None or best >= threshold)
     if threshold is not None:
         blocks = _scan(f)
         head = form_count(f.n - 1) >> _low_bits(f.n)  # 16 blocks at n = 7, none below

@@ -95,6 +95,29 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             AffineMap(3, np.zeros((3, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "matrix, offset",
+        [
+            ([[257, 0], [0, 1]], [3, 0]),  # the cast and & 1 made the identity with offset (1, 0)
+            ([[2, 1], [1, 0]], [0, 0]),  # ... the swap [[0, 1], [1, 0]]
+            (np.array([[3, 0], [0, 1]], dtype=np.uint8), np.zeros(2, dtype=np.uint8)),  # ... the identity
+            (np.eye(2, dtype=np.uint8), np.array([0, 2], dtype=np.uint8)),
+            ([[1, 0], [0, 1]], [0.5, 0]),
+            ([[1, 0], [-1, 1]], [0, 0]),
+        ],
+    )
+    def test_entries_other_than_0_or_1_rejected(self, matrix, offset):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            AffineMap(2, matrix, offset)
+
+    def test_entries_of_other_dtypes_that_are_0_or_1(self):
+        expected = AffineMap(2, np.array([[0, 1], [1, 0]], dtype=np.uint8), np.array([1, 0], dtype=np.uint8))
+        for matrix, offset in (([[0, 1], [1, 0]], [1, 0]), ([[False, True], [True, False]], [True, False])):
+            assert AffineMap(2, matrix, offset).as_json_dict() == expected.as_json_dict()
+        a, b = np.eye(2, dtype=np.uint8), np.zeros(2, dtype=np.uint8)
+        AffineMap(2, a, b)
+        assert a.flags.writeable and b.flags.writeable  # the map keeps its own copies
+
     def test_random_maps_are_invertible_and_deterministic(self):
         for seed in range(50):
             m = random_affine_map(6, seed=seed)

@@ -125,6 +125,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\)"):
             QuadraticForm.from_pairs(6, [(1, 2), pair])
 
+    @pytest.mark.parametrize("make", [
+        lambda: QuadraticForm(8, 5), lambda: QuadraticForm(0, 0), lambda: QuadraticForm.from_pairs(9, [(8, 9)]),
+    ], ids=["n8", "n0", "from_pairs-n9"])
+    def test_variable_count_checked_at_construction(self, make):
+        with pytest.raises(ValueError, match=r"variable count must be in 1\.\.7"):
+            make()
+
     def test_from_pairs_cancels_a_pair_listed_twice(self):
         assert QuadraticForm.from_pairs(6, [(1, 2), (2, 1)]).index == 0
         assert QuadraticForm.from_pairs(6, [(1, 2), (3, 5), (1, 2)]) == QuadraticForm.from_pairs(6, [(5, 3)])
@@ -256,6 +263,16 @@ class TestHalvesRoute:
             f = concatenate(catalog_function(f"fun_{i}"), catalog_function(f"fun_{j}"))
             block_mins = coset_nonlinearities(f).reshape(-1, 2048).min(axis=1).tolist()
             self.assert_matches(f, block_mins, min(block_mins))
+
+    def test_exhaustive_n2(self):
+        # one block of 2 forms from the 1-variable halves' one form q = 0
+        for packed in range(16):
+            f = TruthTable.from_int(2, packed)
+            assert np.array_equal(coset_nonlinearities(f), int16_coset_nl(f.bits, 2, 0, 2)), packed
+            exact = brute_second_order_nl(f.bits, 2)
+            assert min_coset_nonlinearity(f) == (exact, True)
+            for threshold in range(exact - 1, exact + 3):
+                assert min_coset_nonlinearity(f, threshold) == _oracle_threshold_min([exact], threshold), threshold
 
     def test_step3_scans_on_from_the_head_blocks(self, transforms):
         # STEP3_TABLE is the first fun_4||fun_6 + q_k, k drawn by default_rng(2024)
@@ -478,7 +495,7 @@ class TestSpectra:
     """_spectra, the one place that builds and transforms coset blocks."""
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("m", range(2, 7))
+    @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_walsh_spectrum_of_anf_route(self, m, k):
         rng = np.random.default_rng(10 * m + k)
         row = 1 << quadratic._low_bits(m)  # forms per sign-table row
@@ -498,9 +515,12 @@ class TestSpectra:
         from rm2cover import claims, search
 
         callers = {"fwht_rows": Counter(), "_sign_tables": Counter()}
+        columns = Counter()
         for name, counter in callers.items():
             def counting(*args, original=getattr(quadratic, name), counter=counter):
                 counter[sys._getframe(1).f_code.co_name] += 1
+                if counter is callers["fwht_rows"]:
+                    columns[args[0].shape[1]] += 1
                 return original(*args)
 
             monkeypatch.setattr(quadratic, name, counting)
@@ -511,6 +531,7 @@ class TestSpectra:
         quadratic.coset_values(f)
         assert list(callers["fwht_rows"]) == ["_spectra"]
         assert callers["_sign_tables"] == callers["fwht_rows"]  # one sign block per transform
+        assert list(columns) == [2]  # every transform has the halves as its two columns
 
 
 def _permuted_values(vals: np.ndarray, matrix, quad_index: int) -> np.ndarray:
@@ -547,7 +568,7 @@ class TestXorSpan:
         assert got.dtype == rows.dtype and got.shape == (1 << len(rows), *rows.shape[1:])
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_sign_tables_match_anf_route(self, n):
         # the +-1 tables of QuadraticForm come from its ANF, not from the monomial rows
         chi_low, chi_high, low_bits = quadratic._sign_tables(n)
@@ -653,14 +674,16 @@ class TestProfiles:
     def test_profile_reads_the_one_cached_scan(self, transforms):
         f = catalog_function("fun_6")
         profile = nfh_profile(f)
-        assert transforms == [64] * 16  # 2^15 cosets in blocks of 2048, each transformed once
+        # 2^15 cosets in 16 blocks of 2048, from the 32-point halves' spectra
+        # over the two ranges of 512 five-variable forms, each transformed once
+        assert transforms == [32, 32]
         transforms.clear()
         assert nfh_profile(f) == profile
         assert max_nl_over_quadratics(f) == profile.max_r
         assert transforms == []  # both read the cached coset values
         small = TruthTable.from_int(4, 0x6A3C)
         small_profile = nfh_profile(small)
-        assert transforms == [16]
+        assert transforms == [8]  # one block: the 8-point halves over all 8 three-variable forms
         expected = np.unique(row_layout_coset_nl(small.bits, 4, 0, 64), return_counts=True)
         assert small_profile.counts == dict(zip(*expected))
 
@@ -784,6 +807,26 @@ class TestTableCache:
                 workload.run(workload.make_input((slot, 0)))
             assert {f.n for f in read} <= {6} and len(read) <= 256, name
         assert all(reads[name] for name in ("verify", "search", "equiv")) and not reads["scan7"]
+
+    def test_warm_benchmark_rounds_scan_n6_tables_only_in_equiv(self, bench_workloads, monkeypatch):
+        # after one warm-up round per workload, a second round scans one
+        # table of n <= 6 in all: equiv's fresh member of top_fun_5's family
+        scanned = []
+        scan = quadratic._scan
+        monkeypatch.setattr(quadratic, "_scan", lambda f, *args: scanned.append(f.n) or scan(f, *args))
+        quadratic.coset_values.cache_clear()
+        counts = {}
+        for name, workload in bench_workloads.WORKLOADS.items():
+            rounds = workload.rounds(0)
+            for key in next(rounds):
+                workload.run(workload.make_input(key))
+            for key in next(rounds):
+                scanned.clear()
+                workload.run(workload.make_input(key))
+                if small := sum(n <= 6 for n in scanned):
+                    counts[name, key[0]] = small
+        equiv = bench_workloads.WORKLOADS["equiv"]
+        assert counts == {("equiv", equiv.pairs.index(("fun_2", "top_fun_5"))): 1}
 
 
 class TestDegree2Table:
