@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import quadratic
-from .core import AnfPolynomial, MAX_VARS, TruthTable, anf_from_truth_table, fwht_rows, truth_table_from_anf
-from .core import _anf_from_coefficients, _bit_array, _moebius
+from .core import AnfPolynomial, MAX_VARS, TruthTable, anf_from_truth_table, degree, fwht_rows, truth_table_from_anf
+from .core import _anf_from_coefficients, _bit_array, _check_n, _moebius, _monomial_degrees, _points, _row_ints
 
 DEFAULT_SEARCH_BUDGET = 10**8
 
@@ -40,21 +39,14 @@ NOT_FOUND = "not-found"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-def _packed_rows(m: np.ndarray) -> Iterator[int]:
-    """The rows of a 2-D 0/1 array as ints, entry j at bit j (variable
-    j+1 -> weight 2**j), converted one row at a time."""
-    for row in np.packbits(m, axis=1, bitorder="little").tolist():
-        yield int.from_bytes(bytes(row), "little")
-
-
 def is_invertible(matrix) -> bool:
     """GF(2) rank test: row elimination on rows packed into ints, each
     reduced by the rows kept so far until its leading bit is new."""
-    m = np.array(matrix, dtype=np.uint8) & 1
+    m = _bit_array(matrix, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     leading = {}  # bit length -> the reduced row that has it
-    for r in _packed_rows(m):
+    for r in _row_ints(m).tolist():
         while r and r.bit_length() in leading:
             r ^= leading[r.bit_length()]
         if not r:
@@ -72,6 +64,7 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_n(self.n)
         # own copies, so freezing them leaves the caller's arrays writable
         a, b = _bit_array(self.matrix, "matrix").copy(), _bit_array(self.offset, "offset").copy()
         if a.shape != (self.n, self.n) or b.shape != (self.n,):
@@ -91,7 +84,7 @@ class AffineMap:
         return bool(np.array_equal(self.matrix, np.eye(self.n, dtype=np.uint8)) and not self.offset.any())
 
     def as_json_dict(self) -> dict:
-        *rows, b = (format(r, "x") for r in _packed_rows(np.vstack([self.matrix, self.offset])))
+        *rows, b = (format(r, "x") for r in _row_ints(np.vstack([self.matrix, self.offset])).tolist())
         return {"A": rows, "b": b}
 
 
@@ -101,6 +94,7 @@ def random_affine_map(n: int, seed: int) -> AffineMap:
 
 
 def sample_affine_map(n: int, rng: np.random.Generator) -> AffineMap:
+    _check_n(n)
     while True:
         a = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
         if is_invertible(a):
@@ -121,10 +115,7 @@ def apply_affine(f: TruthTable, m: AffineMap) -> TruthTable:
     """Pointwise composition g(x) = f(Ax + b)."""
     if m.n != f.n:
         raise ValueError(f"variable count mismatch: map n={m.n}, table n={f.n}")
-    bit = np.arange(f.n)
-    x = (np.arange(1 << f.n)[:, None] >> bit) & 1  # x[i, v]: bit v of table index i
-    y = (x @ m.matrix.T + m.offset) & 1
-    return TruthTable(f.n, f.bits[y @ (1 << bit)])
+    return TruthTable(f.n, f.bits[_row_ints((_points(f.n) @ m.matrix.T + m.offset) & 1)])
 
 
 @dataclass(frozen=True)
@@ -254,20 +245,6 @@ def _class_labels(
     return cls1, cls2, pair1, pair2
 
 
-@lru_cache(maxsize=None)
-def _deep_degrees(n: int) -> np.ndarray:
-    """Read-only: the degree of each ANF monomial index of n variables
-    where it is at least 3, else 0."""
-    degrees = np.array([d if (d := a.bit_count()) > 2 else 0 for a in range(1 << n)])
-    degrees.setflags(write=False)
-    return degrees
-
-
-def _deep_degree(f: TruthTable) -> int:
-    """The degree of f's degree->=3 part, 0 when f has degree <= 2."""
-    return int((_deep_degrees(f.n) * _moebius(f.bits)).max())
-
-
 def _witnesses(f1: TruthTable, f2: TruthTable, inv1, inv2, budget: float, nodes: list[int]) -> Iterator[EquivalenceWitness]:
     """Every verified witness (A, b, g) of f2 = f1(Ax+b) + g, deg(g) <= 2,
     for two functions of equal, nonzero degree->=3 part and equal
@@ -277,7 +254,7 @@ def _witnesses(f1: TruthTable, f2: TruthTable, inv1, inv2, budget: float, nodes:
     ``nodes[0]``, the count of visited nodes, passes ``budget``.
     """
     n = f1.n
-    deep = _deep_degrees(n) > 0
+    deep = _monomial_degrees(n) > 2
     (w1, t1), (w2, t2) = inv1, inv2
 
     # refine per-direction and per-pair classes with derivative-cube
@@ -289,7 +266,6 @@ def _witnesses(f1: TruthTable, f2: TruthTable, inv1, inv2, budget: float, nodes:
     # candidates[d]: images of basis vector d, the directions of f1 in the class of f2's direction 2**d
     candidates = [np.flatnonzero(cls1[1:] == cls2[1 << d]) + 1 for d in range(n)]
 
-    bit = np.arange(n)
     points = np.arange(1 << n)
 
     def bump() -> None:
@@ -308,12 +284,12 @@ def _witnesses(f1: TruthTable, f2: TruthTable, inv1, inv2, budget: float, nodes:
             # every row: g where its degree->=3 part is zero
             coeffs = _moebius(f1.bits[img ^ points[:, None]] ^ f2.bits)
             too_deep = coeffs[:, deep].any(axis=1).tolist()
-            a = ((img[1 << bit] >> bit[:, None]) & 1).astype(np.uint8)
+            a = _points(n)[img[1 << np.arange(n)]].T.copy()  # column i: the bits of img[2**i]
             for b, row in enumerate(coeffs):
                 bump()
                 if too_deep[b]:
                     continue
-                m = _unchecked_map(n, a, ((b >> bit) & 1).astype(np.uint8))
+                m = _unchecked_map(n, a, _points(n)[b].copy())
                 yield _checked(EquivalenceWitness(m, _anf_from_coefficients(n, row)), f1, f2)
             return
         new = slice(1 << depth, 2 << depth)
@@ -369,10 +345,10 @@ def equivalence_search(f1: TruthTable, f2: TruthTable, budget: int = DEFAULT_SEA
         raise ValueError("equivalence search supports n <= 6")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    degree1, degree2 = (_deep_degree(f) for f in (f1, f2))
+    degree1, degree2 = (max(degree(f), 2) for f in (f1, f2))
     if degree1 != degree2:
         return EquivalenceResult(NOT_FOUND, None, 0, reason="degree mismatch of the degree->=3 part")
-    if not degree1:
+    if degree1 == 2:
         # both functions are within degree 2 of each other
         witness = EquivalenceWitness(AffineMap.identity(f1.n), anf_from_truth_table(f1 ^ f2))
         return EquivalenceResult(FOUND, _checked(witness, f1, f2), 0)
@@ -405,7 +381,7 @@ def automorphisms(f: TruthTable) -> Iterator[EquivalenceWitness]:
     """
     if f.n >= MAX_VARS:
         raise ValueError("equivalence search supports n <= 6")
-    if not _deep_degree(f):
+    if degree(f) <= 2:
         raise ValueError("f has degree <= 2, so every affine map is an automorphism")
     inv = _derivative_invariants(f)
     return _witnesses(f, f, inv, inv, math.inf, [0])

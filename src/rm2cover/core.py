@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * A function of ``n`` variables (``1 <= n <= 7``) is stored as its
   evaluation vector of length ``2**n``.  The entry at index
   ``sum(x_i * 2**(i-1))`` holds ``f(x_1, ..., x_n)``, i.e. ``x_1`` is the
-  least-significant coordinate of the index.
+  least-significant coordinate of the index.  Points, ANF monomials and
+  0/1 rows all pack this way, in :func:`_points` and :func:`_row_ints` only.
 * Hex serialisation packs the evaluation vector into an integer whose
   bit ``i`` (weight ``2**i``) is the table entry at index ``i``; the
   integer prints as lowercase hex, most-significant nibble first
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +54,29 @@ def _bits_to_hex(bits: np.ndarray) -> str:
     """The bits as an integer with bit i = entry i, in len/4 hex digits."""
     packed = np.packbits(bits, bitorder="little").tobytes()
     return format(int.from_bytes(packed, "little"), f"0{len(bits) // 4}x")
+
+
+@lru_cache(maxsize=None)
+def _points(n: int) -> np.ndarray:
+    """Read-only ``(2**n, n)`` uint8: row i is index i's bits, column v the table of x_(v+1)."""
+    points = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    points.setflags(write=False)
+    return points
+
+
+@lru_cache(maxsize=None)
+def _monomial_degrees(n: int) -> np.ndarray:
+    """Read-only uint8: the degree of the monomial at each ANF index, its count of set bits."""
+    degrees = _points(n).sum(axis=1, dtype=np.uint8)
+    degrees.setflags(write=False)
+    return degrees
+
+
+def _row_ints(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 array as int64, entry v at bit v, as :func:`_points` unpacks them."""
+    if rows.shape[-1] > 63:
+        raise ValueError(f"rows of {rows.shape[-1]} bits do not fit int64")
+    return rows @ (1 << np.arange(rows.shape[-1], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -282,7 +307,7 @@ def nonlinearity(t: TruthTable) -> int:
 
 
 def degree(t: TruthTable) -> int:
-    return anf_from_truth_table(t).degree
+    return int((_monomial_degrees(t.n) * _moebius(t.bits)).max())
 
 
 def concatenate(f1: TruthTable, f2: TruthTable) -> TruthTable:

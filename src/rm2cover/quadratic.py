@@ -74,7 +74,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .core import AnfPolynomial, TruthTable, _bits_to_hex, _check_n, fwht_rows, truth_table_from_anf
+from .core import AnfPolynomial, TruthTable, _bits_to_hex, _check_n, _points, _row_ints, fwht_rows, truth_table_from_anf
 
 # Block size: 2**LOW_BITS cosets per block.  It is part of
 # the results, not only of the speed: threshold mode returns the minimum
@@ -147,7 +147,7 @@ def form_map(matrix) -> np.ndarray:
     rows, cols = np.triu_indices(n, 1)  # variable pairs in index-bit order, 0-based
     prod = a[rows][:, :, None] & a[cols][:, None, :]  # A_ik A_jl for every pair (i, j)
     coeff = prod[:, rows, cols] ^ prod[:, cols, rows]
-    return _xor_span(coeff.astype(np.int64) @ (1 << np.arange(len(rows), dtype=np.int64)))
+    return _xor_span(_row_ints(coeff))
 
 
 def _xor_span(rows: np.ndarray) -> np.ndarray:
@@ -163,8 +163,7 @@ def _xor_span(rows: np.ndarray) -> np.ndarray:
 def _degree2_rows(n: int) -> np.ndarray:
     """Truth tables of the pair monomials x_i x_j in index-bit order, then
     of x_1 .. x_n, one row each."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    var = ((idx >> np.arange(n, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)  # var[v]: x_(v+1)
+    var = _points(n).T  # var[v]: x_(v+1)
     rows, cols = np.triu_indices(n, 1)
     out = np.concatenate([var[rows] & var[cols], var])
     out.setflags(write=False)

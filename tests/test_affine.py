@@ -10,6 +10,7 @@ import pytest
 
 from rm2cover import (
     AffineMap,
+    AnfPolynomial,
     EquivalenceWitness,
     TruthTable,
     anf_from_truth_table,
@@ -85,9 +86,22 @@ class TestInvertibility:
         assert 0 < sum(got) < len(got)
 
     def test_unreduced_entries_and_empty_matrix(self):
-        # entries are taken mod 2, as a uint8 array
-        for matrix in ([[3, 2], [0, 1]], np.zeros((0, 0), dtype=np.uint8)):
-            assert is_invertible(matrix) and numpy_is_invertible(matrix)
+        # entries are checked as AffineMap checks them, not taken mod 2
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            is_invertible([[3, 2], [0, 1]])
+        empty = np.zeros((0, 0), dtype=np.uint8)
+        assert is_invertible(empty) and numpy_is_invertible(empty)
+
+    @pytest.mark.parametrize("entry", [3, 257, -1])
+    def test_entries_other_than_0_or_1_rejected(self, entry):
+        # 3 read as 1 and 257 overflowed the byte packing
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            is_invertible([[1, 0], [0, entry]])
+
+    def test_bool_and_float_entries_accepted(self):
+        assert is_invertible(np.array([[True, False], [True, True]]))
+        assert is_invertible(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert not is_invertible(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestAffineMap:
@@ -117,6 +131,16 @@ class TestAffineMap:
         a, b = np.eye(2, dtype=np.uint8), np.zeros(2, dtype=np.uint8)
         AffineMap(2, a, b)
         assert a.flags.writeable and b.flags.writeable  # the map keeps its own copies
+
+    def test_variable_count_checked(self):
+        with pytest.raises(ValueError, match="variable count"):
+            AffineMap(0, np.zeros((0, 0), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        with pytest.raises(ValueError, match="variable count"):
+            AffineMap(8, np.eye(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="variable count"):
+            sample_affine_map(9, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # nothing drawn
 
     def test_random_maps_are_invertible_and_deterministic(self):
         for seed in range(50):
@@ -296,6 +320,10 @@ def _table(n, seed):
     return TruthTable(n, np.random.default_rng([n, seed]).integers(0, 2, 1 << n, dtype=np.uint8))
 
 
+def _anf_table(text):
+    return truth_table_from_anf(AnfPolynomial.from_string(text, n=6))
+
+
 def _budget_target():
     rng = np.random.default_rng(1)
     return apply_affine(catalog_function("fun_4"), sample_affine_map(6, rng)) ^ _random_degree2(6, rng)
@@ -308,6 +336,17 @@ def _budget_target():
 PINNED = {
     "degree": (
         lambda: (catalog_function("fun_1"), catalog_function("fun_4")),
+        DEFAULT_SEARCH_BUDGET,
+        (NOT_FOUND, "degree mismatch of the degree->=3 part", 0, None),
+    ),
+    # degree 1 against 2: both within degree 2, found without a search
+    "degree-1-2": (
+        lambda: (_anf_table("x1"), _anf_table("x1x2")),
+        DEFAULT_SEARCH_BUDGET,
+        (FOUND, None, 0, {"A": ["1", "2", "4", "8", "10", "20"], "b": "0", "g": "x1+x1x2"}),
+    ),
+    "degree-2-3": (
+        lambda: (_anf_table("x1x2"), _anf_table("x1x2x3")),
         DEFAULT_SEARCH_BUDGET,
         (NOT_FOUND, "degree mismatch of the degree->=3 part", 0, None),
     ),

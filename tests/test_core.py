@@ -17,7 +17,7 @@ from rm2cover import (
     walsh_spectrum,
     weight,
 )
-from rm2cover.core import fwht_rows
+from rm2cover.core import _monomial_degrees, _points, _row_ints, fwht_rows
 from oracles import brute_nonlinearity, eval_anf_pointwise, random_tables
 
 
@@ -209,6 +209,21 @@ class TestMetrics:
         assert degree(catalog_function("fun_1")) == 3
         assert degree(catalog_function("fun_2")) == 6
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_degree_matches_anf_route_on_every_table(self, n):
+        tables = [TruthTable.from_int(n, value) for value in range(1 << (1 << n))]
+        assert [degree(t) for t in tables] == [anf_from_truth_table(t).degree for t in tables]
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_degree_matches_anf_route_on_seeded_tables(self, n):
+        rng = np.random.default_rng(500 + n)
+        tables = [TruthTable(n, bits) for bits in random_tables(rng, 300, n)]
+        for d in range(n + 1):
+            # truncated to degree d: a random table almost always has degree n or n - 1
+            monomials = [m for m in anf_from_truth_table(tables[d]).monomials if len(m) <= d]
+            tables.append(truth_table_from_anf(AnfPolynomial(n, frozenset(monomials))))
+        assert [degree(t) for t in tables] == [anf_from_truth_table(t).degree for t in tables]
+
     def test_even_weight_of_low_degree_functions(self, rng):
         # degree <= 2 functions have even weight at n >= 3, so distances to
         # them share the parity of weight(f)
@@ -219,6 +234,29 @@ class TestMetrics:
             assert weight(q) % 2 == 0
             f = TruthTable(6, rng.integers(0, 2, 64, dtype=np.uint8))
             assert distance(f, q) % 2 == weight(f) % 2
+
+
+class TestBitOrder:
+    """The one packing of points, ANF monomials and 0/1 rows into integers."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_points_and_degrees_are_read_only_and_match_the_index_bits(self, n):
+        points, degrees = _points(n), _monomial_degrees(n)
+        assert not points.flags.writeable and not degrees.flags.writeable
+        assert points.dtype == degrees.dtype == np.uint8
+        assert points.tolist() == [[(i >> v) & 1 for v in range(n)] for i in range(1 << n)]
+        assert degrees.tolist() == [i.bit_count() for i in range(1 << n)]
+        assert np.array_equal(_row_ints(points), np.arange(1 << n))
+        # column v is the table of x_(v+1)
+        for v in range(n):
+            assert np.array_equal(points[:, v], table(f"x{v + 1}", n).bits)
+
+    def test_row_ints_packs_entry_v_at_bit_v(self):
+        rows = np.array([[1, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=np.uint8)
+        assert _row_ints(rows).tolist() == [1, 6, 7]
+        assert _row_ints(np.ones((1, 63), dtype=np.uint8)).tolist() == [2**63 - 1]
+        with pytest.raises(ValueError, match="do not fit int64"):
+            _row_ints(np.ones((1, 64), dtype=np.uint8))
 
 
 class TestFwht:
